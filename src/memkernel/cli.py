@@ -132,6 +132,10 @@ def _validate(cfg):
         raise ConfigError("sign_variant must be 'plus' or 'minus'")
     if cfg.field_format not in ("long", "matrix"):
         raise ConfigError("field_format must be 'long' or 'matrix'")
+    try:
+        _inverse_options(cfg, force=False)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for key in ("u0", "u1", "phi"):
         try:
             parse(getattr(cfg, key), "x")

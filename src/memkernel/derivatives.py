@@ -27,7 +27,9 @@ from scipy.signal import savgol_filter
 
 from .expressions import differentiate, sample
 
-__all__ = ["derivative_stack", "derivative_stack_from_expression"]
+__all__ = ["DERIVATIVE_MODES", "derivative_stack", "derivative_stack_from_expression"]
+
+DERIVATIVE_MODES = ("auto", "chebfit", "savgol", "spline")
 
 
 def derivative_stack_from_expression(expr, t):

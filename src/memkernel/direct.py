@@ -20,9 +20,14 @@ second-order u_x, trapezoid memory) with the trapezoid-integrated velocity
 law.  The second time level comes from a Taylor start using the exact
 initial acceleration.
 
+The acceleration solve uses the banded Cholesky factor of
+``DispersiveInverse``.
+
 ``solve_linear_dirichlet`` runs the same stepping for the homogeneous
 Dirichlet problem v_tt - v_xx - beta v_xxtt = K used inside the inverse
-iteration.
+iteration, but in the discrete sine basis: with both ends pinned, D_xx and
+(I - beta D_xx)^{-1} are diagonal there, so the march is one projection of
+K, an independent three-term recurrence per mode and one transform back.
 
 ``forcing`` and ``flux_forcing`` are verification hooks: they inject a known
 residual into the field equation and the flux balance so that manufactured
@@ -118,6 +123,8 @@ def profiles(pd: ProblemData) -> Profiles:
     )
     rows["w_flux"] = rows["phi"] - pd.beta * rows["phipp"]
     rows["w_direct"] = rows["phip"] - pd.beta * rows["phippp"]
+    for row in rows.values():
+        row.flags.writeable = False  # shared by every caller of the cache
     return Profiles(**rows)
 
 
@@ -272,24 +279,69 @@ def solve_direct(pd, kernel, forcing=None, flux_forcing=None,
     return DirectSolution(u=u, y=y, yprime=yp, f=overdetermination(pd, u))
 
 
+@lru_cache(maxsize=8)
+def _sine_modes(nx, dx, beta):
+    """Sine basis of the Dirichlet interior and the operator eigenvalues.
+
+    ``S[i, j] = sin(pi i j / (nx + 1))`` for i, j = 1..nx is symmetric with
+    ``S @ S = (nx + 1)/2 I``; row vectors project as ``(2/(nx + 1)) w @ S``
+    and return as ``w_hat @ S``.  Its columns are eigenvectors of the
+    interior second difference with eigenvalues ``-mu_j``, so
+    ``(I - beta D_xx)^{-1}`` acts as ``1/(1 + beta mu_j)``.  The phase
+    ``i*j`` is reduced modulo ``2(nx + 1)`` in integers so each entry is
+    rounded once.  Returns read-only ``(S, mu, 1/(1 + beta mu))``.
+    """
+    j = np.arange(1, nx + 1)
+    S = np.sin((np.pi / (nx + 1)) * (np.outer(j, j) % (2 * (nx + 1))))
+    mu = (4.0 / dx**2) * np.sin(np.pi * j / (2 * (nx + 1))) ** 2
+    modes = (S, mu, 1.0 / (1.0 + beta * mu))
+    for a in modes:
+        a.flags.writeable = False
+    return modes
+
+
 def solve_linear_dirichlet(pd, v0row, v1row, K):
-    """March v_tt - v_xx - beta v_xxtt = K with homogeneous Dirichlet ends."""
+    """March v_tt - v_xx - beta v_xxtt = K with homogeneous Dirichlet ends.
+
+    The three-level scheme of ``solve_direct`` with both ends pinned, run
+    in the sine basis where D_xx and (I - beta D_xx)^{-1} are diagonal:
+    each mode follows vhat^{n+1} = c vhat^n - vhat^{n-1} + Khat^n with
+    c = 2 - dt^2 mu/(1 + beta mu) and Khat the projected forcing scaled by
+    dt^2/(1 + beta mu).  The Taylor start takes the second difference of
+    ``v0row`` in physical space, so nonzero endpoints of ``v0row`` enter it.
+    Row 0 is ``v0row`` as given; every later row vanishes at both ends.
+    """
     grid = pd.grid
     nx, nt, dx, dt = grid.nx, grid.nt, grid.dx, grid.dt
     K = np.asarray(K, dtype=float)
     if K.shape != (nt + 1, nx + 2):
         raise ValueError(f"forcing shape {K.shape} does not match the grid")
-    inv = DispersiveInverse(pd.beta, dx, nx)
+    S, mu, inv_disp = _sine_modes(nx, dx, pd.beta)
+    gain = dt**2 * inv_disp
+    c = 2.0 - gain * mu
+    proj = 2.0 / (nx + 1)
 
+    v0row = np.asarray(v0row, dtype=float)
+    rows = np.stack([v0row, np.asarray(v1row, float), second_diff(v0row, dx)])
+    w0, w1, d0 = proj * (rows[:, 1:-1] @ S)
+
+    # The march runs inside the output: h[n] holds the scaled forcing of
+    # level n until step n overwrites it with vhat^{n+1}; K[nt] never
+    # enters the march.
     v = np.zeros((nt + 1, nx + 2))
-    v[0] = v0row
-    a0 = inv.solve(second_diff(v[0], dx) + K[0], 0.0, 0.0)
-    v[1] = v[0] + dt * np.asarray(v1row, float) + 0.5 * dt**2 * a0
-    v[1, 0] = v[1, -1] = 0.0
+    h = v[1:, 1:-1]
+    np.matmul(K[:nt, 1:-1], S, out=h)
+    h *= proj * gain
+    h[0] = w0 + dt * w1 + 0.5 * (h[0] + gain * d0)
+    prev = w0
     for n in range(1, nt):
-        a = inv.solve(second_diff(v[n], dx) + K[n], 0.0, 0.0)
-        v[n + 1] = 2.0 * v[n] - v[n - 1] + dt**2 * a
-        v[n + 1, 0] = v[n + 1, -1] = 0.0
+        h[n] += c * h[n - 1] - prev
+        prev = h[n - 1]
+    # Back-transform in row blocks: one whole-array product would need a
+    # second field-sized buffer.
+    for b in range(0, nt, 64):
+        h[b : b + 64] = h[b : b + 64] @ S
+    v[0] = v0row
     if not np.all(np.isfinite(v)):
         raise NonFinite("Dirichlet marching")
     return v

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import _fmt
 from .derivatives import derivative_stack, derivative_stack_from_expression
 from .direct import DirectSolution, profiles
 from .errors import AlphaDegenerate, BoundaryIncompatible, PsiDegenerate
@@ -248,7 +249,7 @@ class CompatReport:
     def to_text(self):
         lines = ["name,value,tolerance,pass"]
         for c in self.checks:
-            lines.append(f"{c.name},{c.value!r},{c.tolerance!r},{str(c.passed).lower()}")
+            lines.append(f"{c.name},{_fmt(c.value)},{_fmt(c.tolerance)},{str(c.passed).lower()}")
         return "\n".join(lines) + "\n"
 
     def __getitem__(self, name):

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .derivatives import DERIVATIVE_MODES
 from .direct import solve_linear_dirichlet, profiles
 from .energy import solution_norm
 from .equivalence import (
@@ -61,6 +62,7 @@ __all__ = [
 ]
 
 MIN_WINDOW_STEPS = 8
+WINDOW_POLICIES = ("optimistic", "bound")
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,18 @@ class InverseOptions:
     force: bool = False
     initial_kprime: float = 0.0  # alternative Picard start, for uniqueness checks
     norm_track_bound: float = 10.0
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if self.window_policy not in WINDOW_POLICIES:
+            raise ValueError(f"window_policy must be one of {WINDOW_POLICIES}, "
+                             f"not {self.window_policy!r}")
+        if self.derivative_mode not in DERIVATIVE_MODES:
+            raise ValueError(f"derivative_mode must be one of {DERIVATIVE_MODES}, "
+                             f"not {self.derivative_mode!r}")
 
 
 @dataclass

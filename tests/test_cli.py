@@ -82,6 +82,17 @@ def test_config_errors(tmp_path):
     assert main(["direct", "--config", str(tmp_path / "missing.ini")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "line", ["max_iter = 0", "derivative_mode = bogus", "window_policy = bondu", "tol = -1"]
+)
+def test_bad_inverse_option_exits_config(tmp_path, capsys, line):
+    cfgp = write_config(tmp_path, TWIN_CONFIG.replace("tol = 1e-9", line), "opt.ini")
+    code = main(["invert", "--twin", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_direct_command_outputs(tmp_path):
     cfgp = write_config(tmp_path)
     out = tmp_path / "run"
@@ -167,6 +178,19 @@ def test_check_command(tmp_path, capsys):
     assert main(["check", "--config", str(cfgp), "--out", str(out)]) == 0
     assert "compatibility: pass" in capsys.readouterr().out
     assert (out / "compat_report.txt").exists()
+
+
+def test_compat_report_holds_plain_numbers(tmp_path):
+    cfgp = write_config(tmp_path)
+    out = tmp_path / "check"
+    assert main(["check", "--config", str(cfgp), "--out", str(out)]) == 0
+    header, *rows = (out / "compat_report.txt").read_text().splitlines()
+    assert header == "name,value,tolerance,pass"
+    assert rows
+    for row in rows:
+        _, value, tolerance, passed = row.split(",")
+        float(value), float(tolerance)
+        assert passed in ("true", "false")
 
 
 def test_check_flags_broken_sensor(tmp_path, capsys):

@@ -1,10 +1,17 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from banded_march import banded_march
 from conftest import make_problem
 from memkernel.direct import (
+    _sine_modes,
     overdetermination,
     overdetermination_flux_form,
+    profiles,
     solve_direct,
     solve_linear_dirichlet,
 )
@@ -127,6 +134,43 @@ def test_dirichlet_manufactured_convergence():
         v = solve_linear_dirichlet(pd, w * gt[0], w * (-3 * np.sin(0) + 0.0), K)
         errs.append(np.max(np.abs(v - v_exact)))
     assert 1.7 <= np.log2(errs[0] / errs[1]) <= 2.3
+
+
+@settings(max_examples=60, deadline=None)
+@example(nx=3, nt=2, beta=0.1, cfl=0.5, seed=0)
+@example(nx=100, nt=60, beta=0.05, cfl=0.95, seed=1)  # nx + 1 = 101 is prime
+@given(
+    nx=st.integers(3, 64),
+    nt=st.integers(2, 120),
+    beta=st.floats(1e-3, 2.0),
+    cfl=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_modal_march_matches_banded_reference(nx, nt, beta, cfl, seed):
+    # cfl = dt over the stability limit of the highest mode, |c| < 2
+    dx = 1.0 / (nx + 1)
+    mu_max = 4.0 / dx**2 * np.sin(np.pi * nx / (2 * (nx + 1))) ** 2
+    dt = 2.0 * cfl * np.sqrt((1.0 + beta * mu_max) / mu_max)
+    pd = make_problem(nx=nx, nt=nt, beta=beta, T=nt * dt)
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(nx + 2)  # nonzero endpoints enter the Taylor start
+    v1 = rng.standard_normal(nx + 2)
+    K = rng.standard_normal((nt + 1, nx + 2))
+    v = solve_linear_dirichlet(pd, v0, v1, K)
+    ref = banded_march(pd, v0, v1, K)
+    assert np.array_equal(v[0], v0)
+    assert np.all(v[1:, [0, -1]] == 0.0)
+    assert np.max(np.abs(v - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_cached_arrays_are_read_only():
+    pd = make_problem()
+    prof = profiles(pd)
+    cached = [getattr(prof, f.name) for f in fields(prof)]
+    cached += _sine_modes(pd.grid.nx, pd.grid.dx, pd.beta)
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr[1] = 1.0
 
 
 def test_overdetermination_zero_field():
