@@ -30,7 +30,7 @@ from .errors import (
     PsiDegenerate,
 )
 from .expressions import differentiate, parse, to_text
-from .grids import Grid, helmholtz_solve, quad_trapz, second_diff
+from .grids import Grid, quad_trapz, second_diff
 from .inverse import InverseOptions, Reconstruction, reconstruct
 from .timeconv import Kernel, conv, conv_field, integrate_prefix, l2_time_norm
 
@@ -56,7 +56,6 @@ __all__ = [
     "conv_field",
     "differentiate",
     "energy_series",
-    "helmholtz_solve",
     "integrate_prefix",
     "l2_time_norm",
     "overdetermination",

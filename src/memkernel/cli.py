@@ -123,39 +123,38 @@ def load_config(path):
 
 
 def _validate(cfg):
-    for name in ("beta", "p", "q", "ell", "T"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
-    if cfg.nx < 3 or cfg.nt < 2:
-        raise ConfigError("grid too small: need nx >= 3 and nt >= 2")
+    """Reject a bad config once, by building what the commands build.
+
+    ``Grid``, ``ProblemData``, the expression parser and ``InverseOptions``
+    each check their own inputs and raise ``ValueError``.
+    """
     if cfg.sign_variant not in ("plus", "minus"):
         raise ConfigError("sign_variant must be 'plus' or 'minus'")
     if cfg.field_format not in ("long", "matrix"):
         raise ConfigError("field_format must be 'long' or 'matrix'")
     try:
+        _problem(cfg)
         _inverse_options(cfg, force=False)
+        for key in ("k_true", "f"):
+            if getattr(cfg, key) is not None:
+                _parse_key(cfg, key, "t")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for key in ("u0", "u1", "phi"):
-        try:
-            parse(getattr(cfg, key), "x")
-        except Exception as exc:
-            raise ConfigError(f"cannot parse {key}: {exc}") from exc
-    for key in ("k_true", "f"):
-        raw = getattr(cfg, key)
-        if raw is not None:
-            try:
-                parse(raw, "t")
-            except Exception as exc:
-                raise ConfigError(f"cannot parse {key}: {exc}") from exc
+
+
+def _parse_key(cfg, key, var):
+    try:
+        return parse(getattr(cfg, key), var)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {key}: {exc}") from exc
 
 
 def _problem(cfg):
     grid = Grid(ell=cfg.ell, T=cfg.T, nx=cfg.nx, nt=cfg.nt)
     return ProblemData(
         beta=cfg.beta, p=cfg.p, q=cfg.q, ell=cfg.ell, T=cfg.T,
-        u0=parse(cfg.u0, "x"), u1=parse(cfg.u1, "x"), phi=parse(cfg.phi, "x"),
-        grid=grid,
+        u0=_parse_key(cfg, "u0", "x"), u1=_parse_key(cfg, "u1", "x"),
+        phi=_parse_key(cfg, "phi", "x"), grid=grid,
     )
 
 
@@ -197,6 +196,16 @@ def _write_field(path, pd, field, fmt):
         csvio.write_field_long(path, pd.grid.x, pd.grid.t, field)
 
 
+def _write_energy(out, pd, u):
+    track = energy_series(u, pd.beta, pd.grid)
+    csvio.write_columns(
+        out / "energy.csv",
+        "t,E1,E2,cum_vtt,cum_vxtt,cum_vxxtt",
+        [track.t, track.e1, track.e2, track.cum_vtt, track.cum_vxtt, track.cum_vxxtt],
+    )
+    return track
+
+
 def _require_kernel(cfg):
     if cfg.k_true is None:
         raise ConfigError("this command needs k_true under [functions]")
@@ -217,12 +226,7 @@ def cmd_direct(cfg, out, args):
     _write_field(out / "u.csv", pd, sol.u, cfg.field_format)
     csvio.write_columns(out / "y.csv", "t,y,yprime", [pd.grid.t, sol.y, sol.yprime])
     csvio.write_timeseries(out / "f.csv", pd.grid.t, sol.f)
-    track = energy_series(sol.u, pd.beta, pd.grid)
-    csvio.write_columns(
-        out / "energy.csv",
-        "t,E1,E2,cum_vtt,cum_vxtt,cum_vxxtt",
-        [track.t, track.e1, track.e2, track.cum_vtt, track.cum_vxtt, track.cum_vxxtt],
-    )
+    _write_energy(out, pd, sol.u)
     return EXIT_OK
 
 
@@ -260,12 +264,7 @@ def cmd_energy(cfg, out, args):
     pd = _problem(cfg)
     kern = _require_kernel(cfg)
     sol = solve_direct(pd, kern)
-    track = energy_series(sol.u, pd.beta, pd.grid)
-    csvio.write_columns(
-        out / "energy.csv",
-        "t,E1,E2,cum_vtt,cum_vxtt,cum_vxxtt",
-        [track.t, track.e1, track.e2, track.cum_vtt, track.cum_vxtt, track.cum_vxxtt],
-    )
+    track = _write_energy(out, pd, sol.u)
     inner = track.e1[2:-2]
     drift = float(np.max(np.abs(inner - inner[0])))
     print(f"E1_drift={drift!r}")

@@ -39,6 +39,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -102,25 +103,22 @@ class Profiles:
 
 
 @lru_cache(maxsize=16)
+def profile_exprs(pd: ProblemData):
+    """Exact derivatives of the data, keyed like the ``Profiles`` rows
+    (``u0p`` .. ``phippp``); the one place they are differentiated."""
+    u0p, u1p, phip = differentiate(pd.u0), differentiate(pd.u1), differentiate(pd.phi)
+    phipp = differentiate(phip)
+    return MappingProxyType(dict(
+        u0p=u0p, u0pp=differentiate(u0p), u1p=u1p, u1pp=differentiate(u1p),
+        phip=phip, phipp=phipp, phippp=differentiate(phipp),
+    ))
+
+
+@lru_cache(maxsize=16)
 def profiles(pd: ProblemData) -> Profiles:
     x = pd.grid.x
-    u0p = differentiate(pd.u0)
-    u1p = differentiate(pd.u1)
-    phip = differentiate(pd.phi)
-    phipp = differentiate(phip)
-    phippp = differentiate(phipp)
-    rows = dict(
-        u0=sample(pd.u0, x),
-        u0p=sample(u0p, x),
-        u0pp=sample(differentiate(u0p), x),
-        u1=sample(pd.u1, x),
-        u1p=sample(u1p, x),
-        u1pp=sample(differentiate(u1p), x),
-        phi=sample(pd.phi, x),
-        phip=sample(phip, x),
-        phipp=sample(phipp, x),
-        phippp=sample(phippp, x),
-    )
+    rows = dict(u0=sample(pd.u0, x), u1=sample(pd.u1, x), phi=sample(pd.phi, x))
+    rows.update((name, sample(expr, x)) for name, expr in profile_exprs(pd).items())
     rows["w_flux"] = rows["phi"] - pd.beta * rows["phipp"]
     rows["w_direct"] = rows["phip"] - pd.beta * rows["phippp"]
     for row in rows.values():

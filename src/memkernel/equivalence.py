@@ -29,11 +29,11 @@ import numpy as np
 
 from .csvio import _fmt
 from .derivatives import derivative_stack, derivative_stack_from_expression
-from .direct import DirectSolution, profiles
+from .direct import DirectSolution, _initial_oscillator, profile_exprs, profiles
 from .errors import AlphaDegenerate, BoundaryIncompatible, PsiDegenerate
-from .expressions import FuncExpr, differentiate
+from .expressions import FuncExpr
 from .grids import DispersiveInverse, quad_trapz, second_diff
-from .timeconv import Kernel, conv_field, time_derivative
+from .timeconv import Kernel, conv_field, integrate_prefix, time_derivative
 
 __all__ = [
     "EquivSetup",
@@ -41,8 +41,7 @@ __all__ = [
     "CompatReport",
     "build_setup",
     "check_compatibility",
-    "G_apply",
-    "Ghat_apply",
+    "sensor_functional",
     "u_from_v",
     "transform_to_v",
     "equivalent_residual",
@@ -110,10 +109,6 @@ class EquivSetup:
     ghat_u0: float  # sensor functional of u0'' at t=0 (a constant)
     symbolic_f: bool
 
-    @property
-    def fseries(self):
-        return self.f_derivs[0]
-
 
 def _f_stack(pd, f, derivative_mode, noise_sigma):
     t = pd.grid.t
@@ -144,21 +139,14 @@ def build_setup(pd, f, *, derivative_mode="auto", noise_sigma=0.0):
         raise BoundaryIncompatible("u0(0) != 0 violates the clamped condition")
 
     stack, symbolic = _f_stack(pd, f, derivative_mode, noise_sigma)
-
-    u0p = differentiate(pd.u0)
-    u0pp = differentiate(u0p)
-    u1p = differentiate(pd.u1)
-    u1pp = differentiate(u1p)
-    phip = differentiate(pd.phi)
-    phipp = differentiate(phip)
-    phippp = differentiate(phipp)
+    d = profile_exprs(pd)
 
     psi_row = prefix_integral_row(pd.phi, x) - pd.beta * prof.phip
     psi_ell = float(psi_row[-1])
     if abs(psi_ell) < DEGENERACY_FLOOR:
         raise PsiDegenerate(f"sensor moment psi(ell) = {psi_ell:.3e} is too small")
 
-    inv_alpha = gl_integral(lambda s: phip.eval(s) * u0pp.eval(s), x)
+    inv_alpha = gl_integral(lambda s: d["phip"].eval(s) * d["u0pp"].eval(s), x)
     data_scale = max(
         np.max(np.abs(prof.u0)), np.max(np.abs(prof.u1)), np.max(np.abs(stack[0]))
     )
@@ -180,24 +168,22 @@ def build_setup(pd, f, *, derivative_mode="auto", noise_sigma=0.0):
 
     u1_ell = float(prof.u1[-1])
     proj_v0 = gl_integral(
-        lambda s: (pd.u1.eval(s) - u1_ell * s / ell) * phippp.eval(s), x
+        lambda s: (pd.u1.eval(s) - u1_ell * s / ell) * d["phippp"].eval(s), x
     )
     k0 = alpha * (stack[3][0] + proj_v0)
-
-    yprime0 = float(prof.u0p[-1])
-    y0 = -(u1_ell + pd.p * yprime0) / pd.q
+    # w1'(ell) = u1'(ell) - k0 u0'(ell) is the flux-balance y''(0)
+    y0, yprime0, w1p_ell = map(float, _initial_oscillator(pd, prof, k0))
 
     # integral of psi * w'' by parts: psi(0) = 0 and psi' = phi - beta phi''
     def _psi_weighted(second_pair):
         wp_ell, wp = second_pair
         moment = gl_integral(
-            lambda s: (pd.phi.eval(s) - pd.beta * phipp.eval(s)) * wp(s), x
+            lambda s: (pd.phi.eval(s) - pd.beta * d["phipp"].eval(s)) * wp(s), x
         )
         return psi_ell * wp_ell - moment
 
-    w1p_ell = float(prof.u1p[-1] - k0 * prof.u0p[-1])
     psi_term = _psi_weighted(
-        (w1p_ell, lambda s: u1p.eval(s) - k0 * u0p.eval(s))
+        (w1p_ell, lambda s: d["u1p"].eval(s) - k0 * d["u0p"].eval(s))
     )
     y2prime0 = (stack[1][0] - k0 * stack[0][0] + psi_term) / psi_ell
 
@@ -207,7 +193,7 @@ def build_setup(pd, f, *, derivative_mode="auto", noise_sigma=0.0):
     v1row = u2row - u2row[-1] * x / ell
 
     ghat_u0 = (
-        stack[0][0] + _psi_weighted((float(prof.u0p[-1]), lambda s: u0p.eval(s)))
+        stack[0][0] + _psi_weighted((float(prof.u0p[-1]), d["u0p"].eval))
     ) / psi_ell
 
     return EquivSetup(
@@ -275,16 +261,10 @@ def check_compatibility(setup, pd):
     x = pd.grid.x
     rtol = 1e-6 if setup.symbolic_f else 1e-3
     fd = setup.f_derivs
-
-    u0p = differentiate(pd.u0)
-    u0pp = differentiate(u0p)
-    u1p = differentiate(pd.u1)
-    u1pp = differentiate(u1p)
-    phip = differentiate(pd.phi)
-    phippp = differentiate(differentiate(phip))
+    d = profile_exprs(pd)
 
     def w_direct(s):
-        return phip.eval(s) - pd.beta * phippp.eval(s)
+        return d["phip"].eval(s) - pd.beta * d["phippp"].eval(s)
 
     checks = []
 
@@ -293,11 +273,13 @@ def check_compatibility(setup, pd):
 
     ident("f_at_0", -gl_integral(lambda s: w_direct(s) * pd.u0.eval(s), x), fd[0][0])
     ident("fprime_at_0", -gl_integral(lambda s: w_direct(s) * pd.u1.eval(s), x), fd[1][0])
-    ident("f2_at_0", -gl_integral(lambda s: phip.eval(s) * u0pp.eval(s), x), fd[2][0])
+    ident("f2_at_0", -gl_integral(lambda s: d["phip"].eval(s) * d["u0pp"].eval(s), x),
+          fd[2][0])
     ident(
         "f3_at_0",
         -gl_integral(
-            lambda s: phip.eval(s) * (u1pp.eval(s) - setup.k0 * u0pp.eval(s)), x
+            lambda s: d["phip"].eval(s) * (d["u1pp"].eval(s) - setup.k0 * d["u0pp"].eval(s)),
+            x,
         ),
         fd[3][0],
     )
@@ -319,28 +301,22 @@ def check_compatibility(setup, pd):
     return CompatReport(checks=tuple(checks))
 
 
-def G_apply(setup, wxx_row, fprime_at_t, dx):
-    """Sensor functional (f'(t) + integral of psi * w_xx) / psi(ell)."""
+def sensor_functional(setup, f_vals, wxx, dx):
+    """Sensor functional (f^(j) + integral of psi * w_xx) / psi(ell).
+
+    ``wxx`` is one space row or a field of rows, ``f_vals`` the matching
+    measurement-derivative value(s): f' gives the boundary functional G of
+    the field, f itself its companion Ghat.
+    """
     if abs(setup.psi_ell) < DEGENERACY_FLOOR:
         raise PsiDegenerate("psi(ell) below the degeneracy floor")
-    return (fprime_at_t + quad_trapz(setup.psi_row * wxx_row, dx)) / setup.psi_ell
-
-
-def Ghat_apply(setup, wxx_row, f_at_t, dx):
-    """Companion functional using f itself instead of f'."""
-    if abs(setup.psi_ell) < DEGENERACY_FLOOR:
-        raise PsiDegenerate("psi(ell) below the degeneracy floor")
-    return (f_at_t + quad_trapz(setup.psi_row * wxx_row, dx)) / setup.psi_ell
+    return (f_vals + quad_trapz(setup.psi_row * wxx, dx)) / setup.psi_ell
 
 
 def u_from_v(pd, v, z, u0row):
     """Integrate v back to u:  u(t) = u0 + prefix integral of (v - z x/ell)."""
     integrand = np.asarray(v, float) - np.outer(np.asarray(z, float), pd.grid.x / pd.ell)
-    dt = pd.grid.dt
-    out = np.empty_like(integrand)
-    out[0] = 0.0
-    np.cumsum(0.5 * dt * (integrand[1:] + integrand[:-1]), axis=0, out=out[1:])
-    return out + np.asarray(u0row, float)
+    return integrate_prefix(integrand, np.asarray(u0row, float), pd.grid.dt)
 
 
 def transform_to_v(pd, sol: DirectSolution):

@@ -16,7 +16,6 @@ __all__ = [
     "Grid",
     "second_diff",
     "first_diff",
-    "helmholtz_solve",
     "DispersiveInverse",
     "quad_trapz",
     "spatial_h2_norm",
@@ -126,16 +125,6 @@ class DispersiveInverse:
         b[-1] += self._c * right_bc
         out[1:-1] = cho_solve_banded((self._factor, False), b)
         return out
-
-
-def helmholtz_solve(beta, rhs, left_bc, right_bc, dx):
-    """Solve (I - beta * D_xx) w = rhs at interior nodes, w pinned at the ends.
-
-    ``rhs`` is a full row; only its interior entries enter the tridiagonal
-    system.  O(nx) via a banded Cholesky factorization.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    return DispersiveInverse(beta, dx, rhs.shape[-1] - 2).solve(rhs, left_bc, right_bc)
 
 
 def quad_trapz(row, dx):

@@ -36,6 +36,7 @@ from .equivalence import (
     EquivSetup,
     build_setup,
     check_compatibility,
+    sensor_functional,
 )
 from .errors import CompatibilityFailed, NoConvergence, NonFinite
 from .grids import quad_trapz, second_diff, spatial_h2_norm
@@ -79,7 +80,6 @@ class InverseOptions:
     noise_sigma: float = 0.0
     force: bool = False
     initial_kprime: float = 0.0  # alternative Picard start, for uniqueness checks
-    norm_track_bound: float = 10.0
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -101,7 +101,6 @@ class IterState:
     v: np.ndarray  # (W+1, nx+2), zero at both space endpoints
     kprime: np.ndarray  # (W+1,)
     yccc: np.ndarray  # third displacement derivative on the window
-    z2: np.ndarray  # transported source p y''' + q y''
 
 
 @dataclass
@@ -116,7 +115,6 @@ class WindowData:
     u_tau: np.ndarray
     u_tautau: np.ndarray
     f: np.ndarray  # (5, W+1) measurement derivative slices
-    has_history: bool = False
     # memory of the already-solved span (present when start > 0)
     khat_head: np.ndarray | None = None  # kernel over the first W+1 nodes
     kphat_head: np.ndarray | None = None
@@ -137,11 +135,6 @@ class WindowDiagnostics:
     distances: tuple
     halvings: int
     norm_track: float
-
-    @property
-    def final_ratios(self):
-        d = self.distances
-        return tuple(d[i + 1] / d[i] for i in range(max(0, len(d) - 4), len(d) - 1))
 
 
 @dataclass
@@ -167,8 +160,17 @@ def state_distance(s1, s2, grid_w):
     return dv + dk
 
 
-def _row_quad(field_rows, weight_row, dx):
-    return quad_trapz(field_rows * weight_row, dx)
+def _window_memory(conv_fn, k_w, g_w, k_head, g_head, tail, dt):
+    """Memory convolution (k * g) on a window.
+
+    Without history (``tail`` is None) it is ``conv_fn(k_w, g_w)``.  Later
+    windows add the pairings of the window's unknowns with the early history
+    (``k_head``, ``g_head``: the first W+1 global nodes) and the lagged
+    integral over the solved span (``tail``).
+    """
+    if tail is None:
+        return conv_fn(k_w, g_w, dt)
+    return conv_fn(k_w, g_head, dt) + conv_fn(k_head, g_w, dt) + tail
 
 
 def apply_map_A(state, win, setup, pd, vt_sign=1.0):
@@ -182,44 +184,26 @@ def apply_map_A(state, win, setup, pd, vt_sign=1.0):
     vxx = second_diff(v, dx)
     vxxt = time_derivative(vxx, dt)
 
-    proj_v = _row_quad(v, prof.phippp, dx)
-    proj_vt = _row_quad(vt, prof.phippp, dx)
+    proj_v = quad_trapz(v * prof.phippp, dx)
+    proj_vt = quad_trapz(vt * prof.phippp, dx)
 
-    if win.has_history:
-        mem_proj = (
-            conv(kp_old, win.Phat_head, dt)
-            + conv(win.kphat_head, proj_v, dt)
-            + win.tail_proj
-        )
-    else:
-        mem_proj = conv(kp_old, proj_v, dt)
+    mem_proj = _window_memory(conv, kp_old, proj_v, win.kphat_head, win.Phat_head,
+                              win.tail_proj, dt)
     kp_new = setup.alpha * (
         win.f[4] + vt_sign * proj_vt - setup.k0 * proj_v - mem_proj
     )
     k_new = integrate_prefix(kp_new, win.k_seam, dt)
 
-    g_of_v = (win.f[1] + _row_quad(vxx, setup.psi_row, dx)) / setup.psi_ell
-    gp_of_v = (win.f[2] + _row_quad(vxxt, setup.psi_row, dx)) / setup.psi_ell
-    if win.has_history:
-        mem_g = (
-            conv(win.kphat_head, g_of_v, dt)
-            + conv(kp_old, win.Ghat_head, dt)
-            + win.tail_G
-        )
-    else:
-        mem_g = conv(kp_old, g_of_v, dt)
+    g_of_v = sensor_functional(setup, win.f[1], vxx, dx)
+    gp_of_v = sensor_functional(setup, win.f[2], vxxt, dx)
+    mem_g = _window_memory(conv, kp_old, g_of_v, win.kphat_head, win.Ghat_head,
+                           win.tail_G, dt)
     y3 = gp_of_v - kp_new * setup.ghat_u0 - setup.k0 * g_of_v - mem_g
     y2 = integrate_prefix(y3, win.y2_seam, dt)
     z2 = pd.p * y3 + pd.q * y2
 
-    if win.has_history:
-        mem_field = (
-            conv_field(k_new, win.Vxx_head, dt)
-            + conv_field(win.khat_head, vxx, dt)
-            + win.g_tail
-        )
-    else:
-        mem_field = conv_field(k_new, vxx, dt)
+    mem_field = _window_memory(conv_field, k_new, vxx, win.khat_head, win.Vxx_head,
+                               win.g_tail, dt)
     K = (
         -np.outer(k_new, prof.u0pp)
         - mem_field
@@ -229,7 +213,7 @@ def apply_map_A(state, win, setup, pd, vt_sign=1.0):
 
     if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(kp_new))):
         raise NonFinite("fixed-point map output")
-    return IterState(v=v_new, kprime=kp_new, yccc=y3, z2=z2)
+    return IterState(v=v_new, kprime=kp_new, yccc=y3)
 
 
 def _initial_state(win, setup, pd, kprime0=0.0):
@@ -239,13 +223,14 @@ def _initial_state(win, setup, pd, kprime0=0.0):
     W = win.steps
     kp = np.full(W + 1, kprime0)
     K = -win.k_seam * np.outer(np.ones(W + 1), prof.u0pp)
-    if win.has_history:
+    if win.start > 0:
         K = K - win.g_tail
     v = solve_linear_dirichlet(win.pd_w, win.u_tau, win.u_tautau, K)
-    return IterState(v=v, kprime=kp, yccc=np.zeros(W + 1), z2=np.zeros(W + 1))
+    return IterState(v=v, kprime=kp, yccc=np.zeros(W + 1))
 
 
 FLOOR_TOL = 1e-6  # stagnation below this relative level counts as the floor
+NORM_TRACK_BOUND = 10.0  # window-to-window norm growth that draws a warning
 
 
 def _trim_floor_wobble(distances):
@@ -385,7 +370,7 @@ def _window_data(pd, setup, n0, W, k_run, kp_glob, v_glob, hist):
     return WindowData(
         pd_w=pd_w, start=n0, steps=W, k_seam=float(k_run[n0]),
         y2_seam=float(hist["y2"][n0]), u_tau=u_tau, u_tautau=u_tautau,
-        f=fslice, has_history=True,
+        f=fslice,
         khat_head=k_run[: W + 1].copy(),
         kphat_head=kp_glob[: W + 1].copy(),
         Phat_head=hist["proj"][: W + 1].copy(),
@@ -428,9 +413,7 @@ def reconstruct(pd, f, options=InverseOptions()):
     v_glob[0] = setup.v0row
     hist["vxx"][0] = second_diff(setup.v0row, dx)
     hist["proj"][0] = quad_trapz(setup.v0row * prof.phippp, dx)
-    hist["gfun"][0] = (
-        setup.f_derivs[1][0] + quad_trapz(setup.psi_row * hist["vxx"][0], dx)
-    ) / setup.psi_ell
+    hist["gfun"][0] = sensor_functional(setup, setup.f_derivs[1][0], hist["vxx"][0], dx)
     hist["y2"][0] = setup.y2prime0
     k_run = np.full(nt + 1, setup.k0)
 
@@ -478,17 +461,15 @@ def reconstruct(pd, f, options=InverseOptions()):
         vxx_new = second_diff(state.v[1:], dx)
         hist["vxx"][sl] = vxx_new
         hist["proj"][sl] = quad_trapz(state.v[1:] * prof.phippp, dx)
-        hist["gfun"][sl] = (
-            setup.f_derivs[1][sl] + quad_trapz(setup.psi_row * vxx_new, dx)
-        ) / setup.psi_ell
+        hist["gfun"][sl] = sensor_functional(setup, setup.f_derivs[1][sl], vxx_new, dx)
 
         track = solution_norm(state.v, win.pd_w.grid) + l2_time_norm(
             state.kprime, dt
         )
-        if prev_track is not None and track > options.norm_track_bound * prev_track:
+        if prev_track is not None and track > NORM_TRACK_BOUND * prev_track:
             warnings.warn(
                 f"window norm grew from {prev_track:.3g} to {track:.3g}, "
-                f"beyond the {options.norm_track_bound}x a-priori bound",
+                f"beyond the {NORM_TRACK_BOUND}x a-priori bound",
                 stacklevel=2,
             )
         prev_track = track

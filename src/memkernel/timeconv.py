@@ -112,11 +112,11 @@ def conv_field(k, field, dt):
 
 
 def integrate_prefix(rate, start, dt):
-    """Running trapezoid integral of ``rate`` shifted by ``start``."""
+    """Running trapezoid integral of ``rate`` along axis 0, shifted by ``start``."""
     rate = np.asarray(rate, dtype=float)
     out = np.empty_like(rate)
     out[0] = 0.0
-    np.cumsum(0.5 * dt * (rate[1:] + rate[:-1]), out=out[1:])
+    np.cumsum(0.5 * dt * (rate[1:] + rate[:-1]), axis=0, out=out[1:])
     return out + start
 
 

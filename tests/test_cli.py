@@ -82,15 +82,29 @@ def test_config_errors(tmp_path):
     assert main(["direct", "--config", str(tmp_path / "missing.ini")]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize(
-    "line", ["max_iter = 0", "derivative_mode = bogus", "window_policy = bondu", "tol = -1"]
-)
-def test_bad_inverse_option_exits_config(tmp_path, capsys, line):
-    cfgp = write_config(tmp_path, TWIN_CONFIG.replace("tol = 1e-9", line), "opt.ini")
+def _assert_invert_exits_config(tmp_path, capsys, old, new):
+    assert old in TWIN_CONFIG
+    cfgp = write_config(tmp_path, TWIN_CONFIG.replace(old, new), "bad.ini")
     code = main(["invert", "--twin", "--config", str(cfgp), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "line", ["max_iter = 0", "derivative_mode = bogus", "window_policy = bondu", "tol = -1"]
+)
+def test_bad_inverse_option_exits_config(tmp_path, capsys, line):
+    _assert_invert_exits_config(tmp_path, capsys, "tol = 1e-9", line)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("beta = 0.1", "beta = 0"), ("nx = 60", "nx = 2"),
+     (f"u0 = sin({2 * np.pi}*x)", "u0 = sin(")],
+)
+def test_bad_problem_input_exits_config(tmp_path, capsys, old, new):
+    _assert_invert_exits_config(tmp_path, capsys, old, new)
 
 
 def test_direct_command_outputs(tmp_path):

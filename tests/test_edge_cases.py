@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_problem
-from memkernel.equivalence import EquivSetup, G_apply, Ghat_apply
+from memkernel.equivalence import EquivSetup, sensor_functional
 from memkernel.errors import EvaluationError, PsiDegenerate
 from memkernel.expressions import parse
 from memkernel.grids import Grid
@@ -22,9 +22,9 @@ def _degenerate_setup():
 def test_sensor_functionals_reject_degenerate_moment():
     setup = _degenerate_setup()
     with pytest.raises(PsiDegenerate):
-        G_apply(setup, np.zeros(12), 1.0, 0.1)
+        sensor_functional(setup, 1.0, np.zeros(12), 0.1)
     with pytest.raises(PsiDegenerate):
-        Ghat_apply(setup, np.zeros(12), 1.0, 0.1)
+        sensor_functional(setup, np.ones(3), np.zeros((3, 12)), 0.1)
 
 
 def test_expression_overflow_reported():

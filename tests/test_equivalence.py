@@ -4,13 +4,12 @@ import pytest
 from conftest import make_problem
 from memkernel.direct import profiles, solve_direct
 from memkernel.equivalence import (
-    G_apply,
-    Ghat_apply,
     build_setup,
     check_compatibility,
     equivalent_residual,
     prefix_integral_row,
     residual_interior_norm,
+    sensor_functional,
     transform_to_v,
     u_from_v,
 )
@@ -144,13 +143,13 @@ def test_G_functionals():
     setup = build_setup(pd, parse("0*t", "t"))
     dx = pd.grid.dx
     zero_row = np.zeros(pd.grid.nx + 2)
-    assert G_apply(setup, zero_row, 0.0, dx) == 0.0
-    assert G_apply(setup, zero_row, 0.7, dx) == pytest.approx(0.7 / setup.psi_ell)
+    assert sensor_functional(setup, 0.0, zero_row, dx) == 0.0
+    assert sensor_functional(setup, 0.7, zero_row, dx) == pytest.approx(0.7 / setup.psi_ell)
     prof = profiles(pd)
-    val = G_apply(setup, prof.phipp, 0.0, dx)
+    val = sensor_functional(setup, 0.0, prof.phipp, dx)
     oracle = quad_trapz(setup.psi_row * prof.phipp, dx) / setup.psi_ell
     assert val == pytest.approx(oracle, rel=1e-12)
-    assert Ghat_apply(setup, prof.phipp, 1.0, dx) == pytest.approx(
+    assert sensor_functional(setup, 1.0, prof.phipp, dx) == pytest.approx(
         (1.0 + quad_trapz(setup.psi_row * prof.phipp, dx)) / setup.psi_ell
     )
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from memkernel.grids import (
+    DispersiveInverse,
     Grid,
     first_diff,
-    helmholtz_solve,
     quad_trapz,
     second_diff,
     spatial_h2_norm,
@@ -63,7 +63,7 @@ def test_second_diff_linearity():
 def test_helmholtz_identity_when_beta_zero():
     g = Grid(1.0, 1.0, 10, 2)
     rhs = np.sin(g.x)
-    w = helmholtz_solve(0.0, rhs, 3.0, 4.0, g.dx)
+    w = DispersiveInverse(0.0, g.dx, g.nx).solve(rhs, 3.0, 4.0)
     assert np.allclose(w[1:-1], rhs[1:-1])
     assert w[0] == 3.0 and w[-1] == 4.0
 
@@ -72,7 +72,7 @@ def test_helmholtz_discrete_eigenfunction():
     beta = 0.1
     g = Grid(1.0, 1.0, 199, 2)
     rhs = np.sin(np.pi * g.x)
-    w = helmholtz_solve(beta, rhs, 0.0, 0.0, g.dx)
+    w = DispersiveInverse(beta, g.dx, g.nx).solve(rhs, 0.0, 0.0)
     lam = (2.0 - 2.0 * np.cos(np.pi * g.dx)) / g.dx**2
     assert np.allclose(w[1:-1], rhs[1:-1] / (1.0 + beta * lam), atol=1e-12)
     # and close to the continuum factor 1/(1 + beta*pi^2)
@@ -81,13 +81,13 @@ def test_helmholtz_discrete_eigenfunction():
 
 def test_helmholtz_zero_rhs():
     g = Grid(1.0, 1.0, 10, 2)
-    w = helmholtz_solve(0.5, np.zeros(12), 0.0, 0.0, g.dx)
+    w = DispersiveInverse(0.5, g.dx, g.nx).solve(np.zeros(12), 0.0, 0.0)
     assert np.allclose(w, 0.0)
 
 
 def test_helmholtz_rejects_negative_beta():
     with pytest.raises(ValueError):
-        helmholtz_solve(-0.1, np.zeros(12), 0.0, 0.0, 0.1)
+        DispersiveInverse(-0.1, 0.1, 10).solve(np.zeros(12), 0.0, 0.0)
 
 
 def test_helmholtz_residual_is_tiny():
@@ -95,7 +95,7 @@ def test_helmholtz_residual_is_tiny():
     g = Grid(1.0, 1.0, 150, 2)
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal(g.nx + 2)
-    w = helmholtz_solve(beta, rhs, 0.2, -0.4, g.dx)
+    w = DispersiveInverse(beta, g.dx, g.nx).solve(rhs, 0.2, -0.4)
     resid = w - beta * second_diff(w, g.dx) - rhs
     scale = np.max(np.abs(rhs))
     assert np.max(np.abs(resid[1:-1])) <= 1e-12 * scale

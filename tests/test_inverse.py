@@ -18,7 +18,7 @@ from memkernel.inverse import (
     _shift_weights,
     _window_data,
 )
-from memkernel.timeconv import Kernel, conv, l2_time_norm, time_derivative
+from memkernel.timeconv import Kernel, conv, l2_time_norm
 
 PI = repr(np.pi)
 TWIN_KW = dict(phi=f"sin({PI}*x)^3", u0=f"sin({2 * np.pi}*x)", u1="0*x")
@@ -63,7 +63,7 @@ def test_map_zero_data_returns_zero_state():
                        None)
     z = np.zeros(W + 1)
     state = IterState(v=np.zeros((W + 1, pd.grid.nx + 2)), kprime=z.copy(),
-                      yccc=z.copy(), z2=z.copy())
+                      yccc=z.copy())
     out = apply_map_A(state, win, setup, pd)
     assert np.allclose(out.v, 0.0)
     assert np.allclose(out.kprime, 0.0)
@@ -78,11 +78,10 @@ def test_map_near_fixed_point_on_twin_truth():
     kern = Kernel.zero(pd.grid.nt, pd.grid.dt)
     sol = solve_direct(pd, kern)
     setup = build_setup(pd, sol.f)
-    v_true, z_true = transform_to_v(pd, sol)
+    v_true, _ = transform_to_v(pd, sol)
     W = pd.grid.nt
     win = _window_data(pd, setup, 0, W, None, None, None, None)
-    z2 = time_derivative(time_derivative(z_true, pd.grid.dt), pd.grid.dt)
-    state = IterState(v=v_true, kprime=np.zeros(W + 1), yccc=np.zeros(W + 1), z2=z2)
+    state = IterState(v=v_true, kprime=np.zeros(W + 1), yccc=np.zeros(W + 1))
     out = apply_map_A(state, win, setup, pd)
     assert l2_time_norm(out.kprime, pd.grid.dt) <= 0.05
     assert np.max(np.abs(out.v - v_true)) <= 0.01 * np.max(np.abs(v_true))
@@ -105,7 +104,6 @@ def test_map_contracts_between_nearby_states():
         v=s1.v + pert_v,
         kprime=s1.kprime + 1e-4 * np.sin(np.linspace(0, 2, W + 1)),
         yccc=s1.yccc.copy(),
-        z2=s1.z2.copy(),
     )
     num = state_distance(
         apply_map_A(s1, win, setup, pd), apply_map_A(s2, win, setup, pd),

@@ -112,6 +112,16 @@ def test_integrate_prefix_cosine_bound():
     assert np.all(err <= dt**2 / 12.0 * t + 1e-15)
 
 
+def test_integrate_prefix_field_matches_columns():
+    t, dt = _grid(40)
+    rng = np.random.default_rng(11)
+    field = rng.standard_normal((t.size, 7))
+    start = rng.standard_normal(7)
+    out = integrate_prefix(field, start, dt)
+    cols = [integrate_prefix(field[:, j], start[j], dt) for j in range(7)]
+    assert np.array_equal(out, np.stack(cols, axis=1))
+
+
 def test_prefix_then_derivative_recovers_rate():
     t, dt = _grid(256)
     rate = np.cos(3 * t)
