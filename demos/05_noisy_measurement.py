@@ -2,8 +2,8 @@
 
 Recovering the kernel consumes the fourth derivative of f, so noise is
 amplified ferociously: this is an ill-posed step, and the pipeline's only
-defense is derivative smoothing (a quintic smoothing spline with the
-residual budget set by the known noise level).  The sweep below shows the
+defense is derivative smoothing (a Chebyshev fit whose residual target
+is the known noise level).  The sweep below shows the
 graceful part of the degradation: errors grow steeply with sigma, but the
 iteration keeps converging and nothing blows up.
 

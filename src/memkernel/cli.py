@@ -64,7 +64,6 @@ class RunConfig:
     tol: float = 1e-10
     max_iter: int = 50
     window_steps: int | None = None
-    window_policy: str = "optimistic"
     max_halvings: int = 6
     sign_variant: str = "plus"
     derivative_mode: str = "auto"
@@ -79,7 +78,7 @@ _SECTIONS = {
     "grid": ("nx", "nt"),
     "functions": ("u0", "u1", "phi", "k_true", "f"),
     "inverse": (
-        "tol", "max_iter", "window_steps", "window_policy", "max_halvings",
+        "tol", "max_iter", "window_steps", "max_halvings",
         "sign_variant", "derivative_mode", "smooth_sigma",
     ),
     "noise": ("noise_sigma", "noise_seed"),
@@ -130,6 +129,10 @@ def _validate(cfg):
     """
     if cfg.sign_variant not in ("plus", "minus"):
         raise ConfigError("sign_variant must be 'plus' or 'minus'")
+    # both names select the one estimator; the key stays so configs that
+    # set it still load
+    if cfg.derivative_mode not in ("auto", "chebfit"):
+        raise ConfigError("derivative_mode must be 'auto' or 'chebfit'")
     if cfg.field_format not in ("long", "matrix"):
         raise ConfigError("field_format must be 'long' or 'matrix'")
     try:
@@ -180,10 +183,8 @@ def _inverse_options(cfg, force, sigma_abs=0.0):
         tol=cfg.tol,
         max_iter=cfg.max_iter,
         window_steps=cfg.window_steps,
-        window_policy=cfg.window_policy,
         max_halvings=cfg.max_halvings,
         vt_sign=+1.0 if cfg.sign_variant == "plus" else -1.0,
-        derivative_mode=cfg.derivative_mode,
         noise_sigma=max(cfg.smooth_sigma, sigma_abs),
         force=force,
     )

@@ -110,20 +110,17 @@ class EquivSetup:
     symbolic_f: bool
 
 
-def _f_stack(pd, f, derivative_mode, noise_sigma):
+def _f_stack(pd, f, noise_sigma):
     t = pd.grid.t
     if isinstance(f, FuncExpr):
         return derivative_stack_from_expression(f, t), True
     f = np.asarray(f, dtype=float)
     if f.shape != t.shape:
         raise ValueError("measurement series is not sampled on the time nodes")
-    return (
-        derivative_stack(f, pd.grid.dt, mode=derivative_mode, noise_sigma=noise_sigma),
-        False,
-    )
+    return derivative_stack(f, pd.grid.dt, noise_sigma=noise_sigma), False
 
 
-def build_setup(pd, f, *, derivative_mode="auto", noise_sigma=0.0):
+def build_setup(pd, f, *, noise_sigma=0.0):
     """Derive the reformulation data from the problem and the measurement.
 
     ``f`` is either a symbolic expression in t (derivatives taken exactly)
@@ -138,7 +135,7 @@ def build_setup(pd, f, *, derivative_mode="auto", noise_sigma=0.0):
     if abs(prof.u0[0]) > 1e-10 * (1.0 + np.max(np.abs(prof.u0))):
         raise BoundaryIncompatible("u0(0) != 0 violates the clamped condition")
 
-    stack, symbolic = _f_stack(pd, f, derivative_mode, noise_sigma)
+    stack, symbolic = _f_stack(pd, f, noise_sigma)
     d = profile_exprs(pd)
 
     psi_row = prefix_integral_row(pd.phi, x) - pd.beta * prof.phip

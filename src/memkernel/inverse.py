@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .derivatives import DERIVATIVE_MODES
 from .direct import solve_linear_dirichlet, profiles
 from .energy import solution_norm
 from .equivalence import (
@@ -39,7 +38,7 @@ from .equivalence import (
     sensor_functional,
 )
 from .errors import CompatibilityFailed, NoConvergence, NonFinite
-from .grids import quad_trapz, second_diff, spatial_h2_norm
+from .grids import quad_trapz, second_diff
 from .timeconv import (
     Kernel,
     conv,
@@ -59,11 +58,9 @@ __all__ = [
     "apply_map_A",
     "solve_window",
     "reconstruct",
-    "auto_window_steps",
 ]
 
 MIN_WINDOW_STEPS = 8
-WINDOW_POLICIES = ("optimistic", "bound")
 
 
 @dataclass(frozen=True)
@@ -72,11 +69,9 @@ class InverseOptions:
 
     tol: float = 1e-10
     max_iter: int = 50
-    window_steps: int | None = None  # None: policy below picks the width
-    window_policy: str = "optimistic"  # or "bound": the data-norm estimate
+    window_steps: int | None = None  # None: the full horizon, halved on demand
     max_halvings: int = 6
     vt_sign: float = +1.0  # sign of the velocity-projection term; see README
-    derivative_mode: str = "auto"
     noise_sigma: float = 0.0
     force: bool = False
     initial_kprime: float = 0.0  # alternative Picard start, for uniqueness checks
@@ -86,12 +81,6 @@ class InverseOptions:
             raise ValueError("max_iter must be at least 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.window_policy not in WINDOW_POLICIES:
-            raise ValueError(f"window_policy must be one of {WINDOW_POLICIES}, "
-                             f"not {self.window_policy!r}")
-        if self.derivative_mode not in DERIVATIVE_MODES:
-            raise ValueError(f"derivative_mode must be one of {DERIVATIVE_MODES}, "
-                             f"not {self.derivative_mode!r}")
 
 
 @dataclass
@@ -292,47 +281,6 @@ def solve_window(win, setup, pd, tol=1e-10, max_iter=50, vt_sign=1.0,
     raise NoConvergence(max_iter, ratio, window=win.start)
 
 
-def auto_window_steps(pd, setup):
-    """Window length from the data-norm bound: tau = 1 / sqrt(1 + M0).
-
-    M0 mirrors the proof-side bound on the iterate norm.  The bound is so
-    conservative that it usually returns the minimum width, which wastes
-    accuracy on seam stencils; the default policy therefore starts from the
-    full horizon and relies on adaptive halving instead, keeping this
-    estimate available as the "bound" policy.
-    """
-    grid = pd.grid
-    dt, dx = grid.dt, grid.dx
-    prof = profiles(pd)
-    a = abs(setup.alpha)
-    k0 = abs(setup.k0)
-    nv0 = spatial_h2_norm(setup.v0row, dx)
-    nv1 = spatial_h2_norm(setup.v1row, dx)
-    nphi3 = np.sqrt(quad_trapz(prof.phippp**2, dx))
-    npsi = np.sqrt(quad_trapz(setup.psi_row**2, dx))
-    nu0 = spatial_h2_norm(prof.u0, dx)
-    nf = [l2_time_norm(setup.f_derivs[j], dt) for j in range(5)]
-    ghat = abs(setup.ghat_u0)
-    psi_ell = abs(setup.psi_ell)
-
-    f_term = a * (nf[4] + nphi3 * (1 + nv1 + (1 + nv1 + nv0) * (k0 + 1)))
-    m0 = (
-        nv0
-        + nv1
-        + (nu0 + 1.0) * (k0 + 1.0)
-        + pd.q * abs(setup.y2prime0)
-        + (pd.p + pd.q)
-        * (
-            (nf[2] + npsi * (1 + nv1)) / psi_ell
-            + (k0 + 1.0) * (nf[1] + npsi * (1 + nv1 + nv0)) / psi_ell
-            + ghat * f_term
-        )
-        + f_term
-    )
-    tau = min(pd.T, 1.0 / np.sqrt(1.0 + m0))
-    return int(np.clip(round(tau / dt), MIN_WINDOW_STEPS, grid.nt))
-
-
 def _shift_weights(khat_vals, n0, W, dt):
     """(W+1, n0+1) matrix of lagged-kernel trapezoid weights.
 
@@ -389,10 +337,7 @@ def reconstruct(pd, f, options=InverseOptions()):
     iteration and its results are appended to the global arrays and to the
     memory histories the following windows convolve against.
     """
-    setup = build_setup(
-        pd, f, derivative_mode=options.derivative_mode,
-        noise_sigma=options.noise_sigma,
-    )
+    setup = build_setup(pd, f, noise_sigma=options.noise_sigma)
     report = check_compatibility(setup, pd)
     if not report.passed and not options.force:
         raise CompatibilityFailed(report)
@@ -417,12 +362,8 @@ def reconstruct(pd, f, options=InverseOptions()):
     hist["y2"][0] = setup.y2prime0
     k_run = np.full(nt + 1, setup.k0)
 
-    if options.window_steps is not None:
-        width = options.window_steps
-    elif options.window_policy == "bound":
-        width = auto_window_steps(pd, setup)
-    else:
-        width = nt  # optimistic: let non-convergence halve it
+    # start wide and let non-convergence halve the window
+    width = options.window_steps if options.window_steps is not None else nt
     width = int(np.clip(width, MIN_WINDOW_STEPS, nt))
     windows = []
     n0 = 0

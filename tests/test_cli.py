@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memkernel
 from memkernel.cli import EXIT_COMPAT, EXIT_CONFIG, load_config, main
 from memkernel.errors import ConfigError
 from memkernel.rng import PortableRng
@@ -92,10 +96,24 @@ def _assert_invert_exits_config(tmp_path, capsys, old, new):
 
 
 @pytest.mark.parametrize(
-    "line", ["max_iter = 0", "derivative_mode = bogus", "window_policy = bondu", "tol = -1"]
+    "line",
+    ["max_iter = 0", "derivative_mode = bogus", "derivative_mode = spline",
+     "window_policy = bondu", "window_policy = bound", "tol = -1"],
 )
 def test_bad_inverse_option_exits_config(tmp_path, capsys, line):
     _assert_invert_exits_config(tmp_path, capsys, "tol = 1e-9", line)
+
+
+def test_cli_import_skips_heavy_scipy_modules():
+    # a fresh interpreter, so modules other tests loaded do not count
+    heavy = ("scipy.signal", "scipy.interpolate", "scipy.stats")
+    code = f"import sys, memkernel.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(memkernel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

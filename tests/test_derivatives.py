@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from memkernel.derivatives import derivative_stack, derivative_stack_from_expression
 from memkernel.expressions import parse
@@ -27,14 +26,12 @@ def test_symbolic_stack_is_exact():
     assert np.allclose(stack[4], 8.0 * np.cos(2 * t))
 
 
-@pytest.mark.parametrize("mode", ["chebfit", "savgol", "spline"])
-def test_clean_series_fourth_derivative(mode):
+def test_clean_series_fourth_derivative():
     t, f, exact = _clean_series(400)
     dt = t[1] - t[0]
-    stack = derivative_stack(f, dt, mode=mode)
-    tol = {"chebfit": 1e-6, "savgol": 5e-2, "spline": 5e-2}[mode]
+    stack = derivative_stack(f, dt)
     scale = np.max(np.abs(exact[4]))
-    assert np.max(np.abs(stack[4] - exact[4])) <= tol * scale
+    assert np.max(np.abs(stack[4] - exact[4])) <= 1e-6 * scale
 
 
 def test_chebfit_resists_roundoff_scale_noise():
@@ -42,18 +39,18 @@ def test_chebfit_resists_roundoff_scale_noise():
     dt = t[1] - t[0]
     rng = np.random.default_rng(99)
     noisy = f + 1e-14 * rng.standard_normal(f.shape)
-    stack = derivative_stack(noisy, dt, mode="chebfit")
+    stack = derivative_stack(noisy, dt)
     scale = np.max(np.abs(exact[4]))
     assert np.max(np.abs(stack[4] - exact[4])) <= 1e-5 * scale
 
 
-def test_spline_mode_tames_measurement_noise():
+def test_noise_aware_fit_tames_measurement_noise():
     t, f, exact = _clean_series(400)
     dt = t[1] - t[0]
     rng = np.random.default_rng(17)
     sigma = 1e-3 * np.max(np.abs(f))
     noisy = f + sigma * rng.standard_normal(f.shape)
-    stack = derivative_stack(noisy, dt, mode="spline", noise_sigma=sigma)
+    stack = derivative_stack(noisy, dt, noise_sigma=sigma)
     assert np.all(np.isfinite(stack))
     scale = np.max(np.abs(exact[4]))
     # heavily smoothed: only demand the right order of magnitude
@@ -61,10 +58,5 @@ def test_spline_mode_tames_measurement_noise():
 
 
 def test_zero_series_stays_zero():
-    stack = derivative_stack(np.zeros(101), 0.01, mode="chebfit")
+    stack = derivative_stack(np.zeros(101), 0.01)
     assert np.allclose(stack, 0.0)
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        derivative_stack(np.ones(10), 0.1, mode="magic")

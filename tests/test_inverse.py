@@ -11,7 +11,6 @@ from memkernel.inverse import (
     InverseOptions,
     IterState,
     apply_map_A,
-    auto_window_steps,
     reconstruct,
     solve_window,
     state_distance,
@@ -280,13 +279,3 @@ def test_norm_track_recorded():
     tracks = [w.norm_track for w in rec.windows]
     assert all(np.isfinite(tr) and tr >= 0 for tr in tracks)
     assert max(tracks) <= 10.0 * min(tr for tr in tracks if tr > 0)
-
-
-def test_bound_window_policy_is_conservative():
-    pd = twin_problem(nx=100, nt=200)
-    f, _ = twin_measurement(pd, "0.4*cos(2*t)")
-    setup = build_setup(pd, f)
-    steps = auto_window_steps(pd, setup)
-    assert steps <= pd.grid.nt
-    rec = reconstruct(pd, f, InverseOptions(window_policy="bound"))
-    assert rec.windows[0].steps == steps
