@@ -91,7 +91,7 @@ _ALIASES = {("noise", "sigma"): "noise_sigma", ("noise", "seed"): "noise_seed"}
 
 def load_config(path):
     """Parse an INI config into a RunConfig, validating keys and types."""
-    parser = ConfigParser()
+    parser = ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.optionxform = str
     read = parser.read(path)
     if not read:

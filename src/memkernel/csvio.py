@@ -46,11 +46,12 @@ def write_timeseries(path, t, values, header="t,value"):
 
 def write_field_long(path, x, t, field):
     """Long format: one `x,t,value` row per node."""
-    field = np.asarray(field, dtype=float)
+    xs = list(map(repr, np.asarray(x, dtype=float).tolist()))
+    rows = np.asarray(field, dtype=float).tolist()
     lines = ["x,t,value"]
-    for n, tn in enumerate(t):
-        for i, xi in enumerate(x):
-            lines.append(f"{_fmt(xi)},{_fmt(tn)},{_fmt(field[n, i])}")
+    for tn, row in zip(np.asarray(t, dtype=float).tolist(), rows, strict=True):
+        mid = f",{tn!r},"
+        lines.append("\n".join([xi + mid + v for xi, v in zip(xs, map(repr, row), strict=True)]))
     write_text(path, "\n".join(lines) + "\n")
 
 

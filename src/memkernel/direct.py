@@ -20,8 +20,8 @@ second-order u_x, trapezoid memory) with the trapezoid-integrated velocity
 law.  The second time level comes from a Taylor start using the exact
 initial acceleration.
 
-The acceleration solve uses the banded Cholesky factor of
-``DispersiveInverse``.
+The acceleration solve is ``DispersiveInverse``, which inverts
+(I - beta D_xx) in the same sine basis as the Dirichlet march below.
 
 ``solve_linear_dirichlet`` runs the same stepping for the homogeneous
 Dirichlet problem v_tt - v_xx - beta v_xxtt = K used inside the inverse
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import BoundaryIncompatible, NonFinite
 from .expressions import FuncExpr, differentiate, sample
-from .grids import DispersiveInverse, Grid, first_diff, quad_trapz, second_diff
+from .grids import DispersiveInverse, Grid, _sine_modes, first_diff, quad_trapz, second_diff
 
 __all__ = [
     "ProblemData",
@@ -275,27 +275,6 @@ def solve_direct(pd, kernel, forcing=None, flux_forcing=None,
     if not np.all(np.isfinite(u)):
         raise NonFinite("direct marching")
     return DirectSolution(u=u, y=y, yprime=yp, f=overdetermination(pd, u))
-
-
-@lru_cache(maxsize=8)
-def _sine_modes(nx, dx, beta):
-    """Sine basis of the Dirichlet interior and the operator eigenvalues.
-
-    ``S[i, j] = sin(pi i j / (nx + 1))`` for i, j = 1..nx is symmetric with
-    ``S @ S = (nx + 1)/2 I``; row vectors project as ``(2/(nx + 1)) w @ S``
-    and return as ``w_hat @ S``.  Its columns are eigenvectors of the
-    interior second difference with eigenvalues ``-mu_j``, so
-    ``(I - beta D_xx)^{-1}`` acts as ``1/(1 + beta mu_j)``.  The phase
-    ``i*j`` is reduced modulo ``2(nx + 1)`` in integers so each entry is
-    rounded once.  Returns read-only ``(S, mu, 1/(1 + beta mu))``.
-    """
-    j = np.arange(1, nx + 1)
-    S = np.sin((np.pi / (nx + 1)) * (np.outer(j, j) % (2 * (nx + 1))))
-    mu = (4.0 / dx**2) * np.sin(np.pi * j / (2 * (nx + 1))) ** 2
-    modes = (S, mu, 1.0 / (1.0 + beta * mu))
-    for a in modes:
-        a.flags.writeable = False
-    return modes
 
 
 def solve_linear_dirichlet(pd, v0row, v1row, K):

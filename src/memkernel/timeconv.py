@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Kernel",
@@ -83,12 +83,13 @@ def convolution_matrix(k, dt):
     """
     k = np.asarray(k, dtype=float)
     n = k.shape[0]
-    w = np.tril(toeplitz(k, np.zeros(n)))
+    # row i of the reversed windows of (0, ..., 0, k) is k[i], ..., k[0], 0, ...
+    w = sliding_window_view(np.concatenate((np.zeros(n - 1), k)), n)[:, ::-1].copy()
     w[:, 0] *= 0.5
-    idx = np.arange(n)
-    w[idx, idx] *= 0.5
+    w.flat[:: n + 1] *= 0.5  # the diagonal
     w[0, 0] = 0.0
-    return dt * w
+    w *= dt
+    return w
 
 
 def conv(k, g, dt):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from banded_march import banded_march
 from conftest import make_problem
 from memkernel.direct import (
-    _sine_modes,
     overdetermination,
     overdetermination_flux_form,
     profiles,
@@ -17,7 +16,7 @@ from memkernel.direct import (
 )
 from memkernel.errors import BoundaryIncompatible
 from memkernel.expressions import parse
-from memkernel.grids import quad_trapz
+from memkernel.grids import _sine_modes, quad_trapz
 from memkernel.timeconv import Kernel
 
 

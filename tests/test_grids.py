@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from banded_march import dense_dispersive_solve
 from memkernel.grids import (
     DispersiveInverse,
     Grid,
@@ -99,6 +102,26 @@ def test_helmholtz_residual_is_tiny():
     resid = w - beta * second_diff(w, g.dx) - rhs
     scale = np.max(np.abs(rhs))
     assert np.max(np.abs(resid[1:-1])) <= 1e-12 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@example(beta=0.0, nx=3, seed=0)
+@example(beta=2.0, nx=3, seed=1)
+@example(beta=2.0, nx=400, seed=2)
+@given(
+    beta=st.one_of(st.just(0.0), st.floats(1e-4, 2.0)),
+    nx=st.integers(3, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dispersive_inverse_matches_dense_solve(beta, nx, seed):
+    dx = 1.0 / (nx + 1)
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal(nx + 2)
+    left, right = rng.uniform(0.1, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+    w = DispersiveInverse(beta, dx, nx).solve(rhs, left, right)
+    ref = dense_dispersive_solve(beta, dx, rhs, left, right)
+    assert w[0] == left and w[-1] == right
+    assert np.max(np.abs(w - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_quad_trapz_exact_constant_and_linear():
