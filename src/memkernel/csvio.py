@@ -34,9 +34,8 @@ def write_columns(path, header, columns):
     n = columns[0].shape[0]
     if any(c.shape[0] != n for c in columns):
         raise ValueError("column length mismatch")
-    lines = [header]
-    for i in range(n):
-        lines.append(",".join(_fmt(c[i]) for c in columns))
+    cells = [map(repr, c.tolist()) for c in columns]
+    lines = [header] + [",".join(row) for row in zip(*cells)]
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -57,8 +56,8 @@ def write_field_long(path, x, t, field):
 
 def write_field_matrix(path, x, t, field):
     """Matrix format: first row the x nodes, first column the t nodes."""
-    field = np.asarray(field, dtype=float)
-    lines = ["t\\x," + ",".join(_fmt(xi) for xi in x)]
-    for n, tn in enumerate(t):
-        lines.append(_fmt(tn) + "," + ",".join(_fmt(v) for v in field[n]))
+    lines = ["t\\x," + ",".join(map(repr, np.asarray(x, dtype=float).tolist()))]
+    rows = np.asarray(field, dtype=float).tolist()
+    for tn, row in zip(np.asarray(t, dtype=float).tolist(), rows, strict=True):
+        lines.append(repr(tn) + "," + ",".join(map(repr, row)))
     write_text(path, "\n".join(lines) + "\n")

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import BoundaryIncompatible, NonFinite
 from .expressions import FuncExpr, differentiate, sample
-from .grids import DispersiveInverse, Grid, _sine_modes, first_diff, quad_trapz, second_diff
+from .grids import DispersiveInverse, Grid, _sine_modes, quad_trapz, second_diff
 
 __all__ = [
     "ProblemData",
@@ -55,7 +55,6 @@ __all__ = [
     "solve_direct",
     "solve_linear_dirichlet",
     "overdetermination",
-    "overdetermination_flux_form",
 ]
 
 
@@ -332,10 +331,3 @@ def overdetermination(pd, u):
     """
     prof = profiles(pd)
     return -quad_trapz(np.asarray(u, float) * prof.w_direct, pd.grid.dx)
-
-
-def overdetermination_flux_form(pd, u):
-    """Measurement series from the flux form (discrete u_x); for cross-checks."""
-    prof = profiles(pd)
-    ux = first_diff(np.asarray(u, float), pd.grid.dx)
-    return quad_trapz(ux * prof.w_flux, pd.grid.dx)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .direct import solve_linear_dirichlet
 from .grids import first_diff, quad_trapz, second_diff, spatial_h2_norm
 from .timeconv import integrate_prefix, l2_time_norm, time_derivative
 
@@ -24,14 +23,14 @@ __all__ = [
     "energy_series",
     "solution_norm",
     "check_estimate",
-    "calibrate_constant",
     "CALIBRATED_BOUND",
 ]
 
 # 1.2 x the largest LHS/RHS ratio observed on the 20-case calibration suite
 # (seed 777, beta=0.1, nx=80, nt=200); the ratio converges under grid
 # refinement, so the same constant serves finer grids of this family.
-# Regenerate with calibrate_constant(20, seed=777, pd=<family problem>).
+# Regenerate with calibrate_constant(20, seed=777, pd=<family problem>)
+# from tests/verify.py.
 CALIBRATED_BOUND = 17.845101900212978
 
 
@@ -103,47 +102,3 @@ def check_estimate(v, v0row, v1row, K, beta, grid, bound=None):
     k_norm = l2_time_norm(np.sqrt(quad_trapz(np.asarray(K, float) ** 2, dx)), dt)
     rhs = spatial_h2_norm(v0row, dx) + spatial_h2_norm(v1row, dx) + k_norm
     return c * rhs - lhs
-
-
-def _random_case(pd, rng):
-    """Random smooth Dirichlet data: sine series plus separable forcing.
-
-    One case in three has zero initial rows (pure forcing response), which
-    is where the ratio of solution norm to data norm peaks; the calibration
-    family must cover that corner.
-    """
-    g = pd.grid
-    x, t = g.x, g.t
-    v0 = np.zeros_like(x)
-    v1 = np.zeros_like(x)
-    pure_forcing = rng.integers(0, 3) == 0
-    if not pure_forcing:
-        for j in range(1, 4):
-            v0 += rng.uniform(-1, 1) / j**2 * np.sin(j * np.pi * x / pd.ell)
-            v1 += rng.uniform(-1, 1) / j**2 * np.sin(j * np.pi * x / pd.ell)
-    K = np.zeros((g.nt + 1, g.nx + 2))
-    for j in range(1, 3):
-        K += rng.uniform(-2, 2) * np.outer(
-            np.cos(rng.uniform(0.5, 4) * t), np.sin(j * np.pi * x / pd.ell)
-        )
-    return v0, v1, K
-
-
-def calibrate_constant(n_cases, seed, pd, headroom=1.2):
-    """Max LHS/RHS ratio over a manufactured suite, inflated by ``headroom``.
-
-    Used once to freeze CALIBRATED_BOUND; kept callable so the suite can be
-    regenerated and the frozen value audited.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_cases):
-        v0, v1, K = _random_case(pd, rng)
-        v = solve_linear_dirichlet(pd, v0, v1, K)
-        margin_parts = check_estimate(v, v0, v1, K, pd.beta, pd.grid, bound=0.0)
-        lhs = -margin_parts  # bound=0 makes the margin equal -LHS
-        dx, dt = pd.grid.dx, pd.grid.dt
-        k_norm = l2_time_norm(np.sqrt(quad_trapz(K**2, dx)), dt)
-        rhs = spatial_h2_norm(v0, dx) + spatial_h2_norm(v1, dx) + k_norm
-        worst = max(worst, lhs / rhs)
-    return headroom * worst

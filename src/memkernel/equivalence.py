@@ -32,8 +32,8 @@ from .derivatives import derivative_stack, derivative_stack_from_expression
 from .direct import DirectSolution, _initial_oscillator, profile_exprs, profiles
 from .errors import AlphaDegenerate, BoundaryIncompatible, PsiDegenerate
 from .expressions import FuncExpr
-from .grids import DispersiveInverse, quad_trapz, second_diff
-from .timeconv import Kernel, conv_field, integrate_prefix, time_derivative
+from .grids import DispersiveInverse, quad_trapz
+from .timeconv import integrate_prefix, time_derivative
 
 __all__ = [
     "EquivSetup",
@@ -44,7 +44,6 @@ __all__ = [
     "sensor_functional",
     "u_from_v",
     "transform_to_v",
-    "equivalent_residual",
     "prefix_integral_row",
     "gl_integral",
 ]
@@ -325,39 +324,3 @@ def transform_to_v(pd, sol: DirectSolution):
     ut = time_derivative(sol.u, pd.grid.dt)
     v = ut + np.outer(z, pd.grid.x / pd.ell)
     return v, z
-
-
-def residual_interior_norm(pd, resid, skip_rows=3):
-    """Space-time L2 norm of a residual field away from stencil boundaries.
-
-    The doubled one-sided time stencils are only O(1)-consistent on the
-    first/last few levels, so those rows (and the endpoint columns) are
-    excluded; the remaining norm tracks the scheme's interior consistency.
-    """
-    inner = np.asarray(resid, float)[skip_rows:-skip_rows, 1:-1]
-    return float(np.sqrt(np.sum(inner**2) * pd.grid.dx * pd.grid.dt))
-
-
-def equivalent_residual(pd, v, z, kernel: Kernel):
-    """Pointwise residual field of the homogeneous reformulation.
-
-    All derivatives are discrete (centered stencils); the memory term uses
-    the trapezoid convolution.  Rows/columns touched by one-sided stencils
-    are still filled, so callers typically measure interior norms.
-    """
-    grid, prof = pd.grid, profiles(pd)
-    dt, dx = grid.dt, grid.dx
-    v = np.asarray(v, float)
-    vtt = time_derivative(time_derivative(v, dt), dt)
-    vxx = second_diff(v, dx)
-    vxxtt = time_derivative(time_derivative(vxx, dt), dt)
-    z2 = time_derivative(time_derivative(np.asarray(z, float), dt), dt)
-    mem = conv_field(kernel.k, vxx, dt)
-    return (
-        vtt
-        - vxx
-        - pd.beta * vxxtt
-        + np.outer(kernel.k, prof.u0pp)
-        + mem
-        - np.outer(z2, grid.x / pd.ell)
-    )

@@ -20,8 +20,6 @@ __all__ = [
     "convolution_matrix",
     "integrate_prefix",
     "l2_time_norm",
-    "check_young",
-    "check_zero_start",
     "time_derivative",
 ]
 
@@ -128,36 +126,6 @@ def l2_time_norm(series, dt, upto=None):
         s = s[: upto + 1]
     sq = s * s
     return np.sqrt(dt * (sq.sum() - 0.5 * (sq[0] + sq[-1])))
-
-
-def check_young(k, g, dt):
-    """Margin of the convolution bound: sqrt(tau)*|k|*|g| - |k * g|.
-
-    All norms are discrete L2 over the full span [0, tau].  Nonnegative up to
-    quadrature slack for any pair of series.
-    """
-    k = np.asarray(k, dtype=float)
-    tau = (k.shape[0] - 1) * dt
-    bound = np.sqrt(tau) * l2_time_norm(k, dt) * l2_time_norm(g, dt)
-    return bound - l2_time_norm(conv(k, g, dt), dt)
-
-
-def check_zero_start(w, dt):
-    """Margins of the two zero-start bounds, with discrete slack included.
-
-    For w(0) = 0 the continuous inequalities are sup|w| <= sqrt(tau)*|w_t|
-    and |w| <= tau*|w_t| (L2 norms in time).  Returns both margins with a
-    slack of 10*dt*|w_t| added, so nonnegative values are the expected
-    outcome for any discretely sampled w.
-    """
-    w = np.asarray(w, dtype=float)
-    tau = (w.shape[0] - 1) * dt
-    wt = time_derivative(w, dt)
-    nwt = l2_time_norm(wt, dt)
-    slack = 10.0 * dt * nwt
-    sup_margin = np.sqrt(tau) * nwt + slack - np.max(np.abs(w))
-    l2_margin = tau * nwt + slack - l2_time_norm(w, dt)
-    return sup_margin, l2_margin
 
 
 def time_derivative(values, dt):

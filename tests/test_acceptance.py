@@ -11,8 +11,6 @@ from conftest import make_problem
 from memkernel.direct import solve_direct, solve_linear_dirichlet
 from memkernel.energy import (
     CALIBRATED_BOUND,
-    _random_case,
-    calibrate_constant,
     check_estimate,
     energy_series,
     solution_norm,
@@ -20,8 +18,6 @@ from memkernel.energy import (
 from memkernel.equivalence import (
     build_setup,
     check_compatibility,
-    equivalent_residual,
-    residual_interior_norm,
     transform_to_v,
 )
 from memkernel.errors import NoConvergence
@@ -34,12 +30,18 @@ from memkernel.inverse import (
 )
 from memkernel.timeconv import (
     Kernel,
-    check_young,
-    check_zero_start,
     integrate_prefix,
     l2_time_norm,
 )
 from test_direct import _manufactured_case
+from verify import (
+    _random_case,
+    calibrate_constant,
+    check_young,
+    check_zero_start,
+    equivalent_residual,
+    residual_interior_norm,
+)
 
 PI = repr(np.pi)
 TWIN_KW = dict(phi=f"sin({PI}*x)^3", u0=f"sin({2 * np.pi}*x)", u1="0*x")

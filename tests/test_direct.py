@@ -9,7 +9,6 @@ from banded_march import banded_march
 from conftest import make_problem
 from memkernel.direct import (
     overdetermination,
-    overdetermination_flux_form,
     profiles,
     solve_direct,
     solve_linear_dirichlet,
@@ -18,6 +17,7 @@ from memkernel.errors import BoundaryIncompatible
 from memkernel.expressions import parse
 from memkernel.grids import _sine_modes, quad_trapz
 from memkernel.timeconv import Kernel
+from verify import overdetermination_flux_form
 
 
 def _manufactured_case(nx, nt, beta=0.1, p=1.0, q=1.3, ell=1.0, T=1.0, c=0.5):

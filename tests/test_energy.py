@@ -5,11 +5,11 @@ from conftest import make_problem
 from memkernel.direct import solve_linear_dirichlet
 from memkernel.energy import (
     CALIBRATED_BOUND,
-    calibrate_constant,
     check_estimate,
     energy_series,
     solution_norm,
 )
+from verify import calibrate_constant
 
 
 def _calibration_problem():
@@ -72,7 +72,7 @@ def test_calibration_suite_margins_nonnegative():
 
 
 def test_fresh_random_cases_margin_nonnegative():
-    from memkernel.energy import _random_case
+    from verify import _random_case
 
     pd = _calibration_problem()
     rng = np.random.default_rng(777)
@@ -83,7 +83,7 @@ def test_fresh_random_cases_margin_nonnegative():
 
 
 def test_forced_zero_data_margin_nonnegative():
-    from memkernel.energy import _random_case
+    from verify import _random_case
 
     pd = _calibration_problem()
     rng = np.random.default_rng(31)

@@ -6,9 +6,7 @@ from memkernel.direct import profiles, solve_direct
 from memkernel.equivalence import (
     build_setup,
     check_compatibility,
-    equivalent_residual,
     prefix_integral_row,
-    residual_interior_norm,
     sensor_functional,
     transform_to_v,
     u_from_v,
@@ -17,6 +15,7 @@ from memkernel.errors import AlphaDegenerate, BoundaryIncompatible, PsiDegenerat
 from memkernel.expressions import parse
 from memkernel.grids import quad_trapz
 from memkernel.timeconv import Kernel
+from verify import equivalent_residual, residual_interior_norm
 
 
 def _zero_series(pd):

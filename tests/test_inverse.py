@@ -179,6 +179,28 @@ def test_twin_windowed_march_matches_single_window():
     assert abs(e1 - e4) < 0.5 * max(e1, e4) + 1e-3
 
 
+def test_window_stops_when_contraction_ends(monkeypatch):
+    """A window ends once the distance stops halving on the roundoff floor:
+    at most two map calls per window go beyond its contraction record.
+    (The budget exit that halves an oversized window is pinned by
+    acceptance criterion 6.)"""
+    import memkernel.inverse as inverse
+
+    pd = twin_problem(nx=100, nt=200)
+    f, _ = twin_measurement(pd, "0.4*cos(2*t)")
+    calls = 0
+    real_map = inverse.apply_map_A
+
+    def counting_map(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_map(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, "apply_map_A", counting_map)
+    rec = reconstruct(pd, f, InverseOptions(window_steps=50))
+    assert calls <= sum(w.iterations for w in rec.windows) + 2 * len(rec.windows)
+
+
 def test_window_seams_are_continuous():
     pd = twin_problem(nx=100, nt=200)
     f, _ = twin_measurement(pd, "0.4*cos(2*t)")

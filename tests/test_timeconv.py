@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from memkernel.timeconv import (
-    check_young,
-    check_zero_start,
     conv,
     conv_field,
     integrate_prefix,
     l2_time_norm,
     time_derivative,
 )
+from verify import check_young, check_zero_start
 
 
 def _grid(nt, T=1.0):
