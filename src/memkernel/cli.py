@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields
-from configparser import ConfigParser
+from configparser import ConfigParser, Error as ConfigParserError
 from pathlib import Path
 
 import numpy as np
@@ -93,15 +93,20 @@ def load_config(path):
     """Parse an INI config into a RunConfig, validating keys and types."""
     parser = ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.optionxform = str
-    read = parser.read(path)
+    # syntax errors surface on reading, bad '%' interpolation on the lookup
+    try:
+        read = parser.read(path)
+        items = {section: parser.items(section) for section in parser.sections()}
+    except ConfigParserError as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     cfg = RunConfig()
     types = {f.name: f.type for f in fields(RunConfig)}
-    for section in parser.sections():
+    for section, section_items in items.items():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in section_items:
             name = _ALIASES.get((section, key), key)
             if _KEY_SECTION.get(name) != section:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
@@ -135,6 +140,12 @@ def _validate(cfg):
         raise ConfigError("derivative_mode must be 'auto' or 'chebfit'")
     if cfg.field_format not in ("long", "matrix"):
         raise ConfigError("field_format must be 'long' or 'matrix'")
+    # InverseOptions sees only max(smooth_sigma, noise level), so a negative
+    # value would pass there unnoticed
+    if not cfg.smooth_sigma >= 0:
+        raise ConfigError("smooth_sigma must be non-negative")
+    if not cfg.noise_sigma >= 0:
+        raise ConfigError("[noise] sigma must be non-negative")
     try:
         _problem(cfg)
         _inverse_options(cfg, force=False)

@@ -96,9 +96,7 @@ class Profiles:
     phip: np.ndarray
     phipp: np.ndarray
     phippp: np.ndarray
-    # sensor weights of the two measurement forms
-    w_flux: np.ndarray  # phi - beta * phi''
-    w_direct: np.ndarray  # phi' - beta * phi'''
+    w_direct: np.ndarray  # sensor weight phi' - beta * phi'''
 
 
 @lru_cache(maxsize=16)
@@ -118,7 +116,6 @@ def profiles(pd: ProblemData) -> Profiles:
     x = pd.grid.x
     rows = dict(u0=sample(pd.u0, x), u1=sample(pd.u1, x), phi=sample(pd.phi, x))
     rows.update((name, sample(expr, x)) for name, expr in profile_exprs(pd).items())
-    rows["w_flux"] = rows["phi"] - pd.beta * rows["phipp"]
     rows["w_direct"] = rows["phip"] - pd.beta * rows["phippp"]
     for row in rows.values():
         row.flags.writeable = False  # shared by every caller of the cache

@@ -81,6 +81,12 @@ class InverseOptions:
             raise ValueError("max_iter must be at least 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.window_steps is not None and self.window_steps < 1:
+            raise ValueError("window_steps must be at least 1")
+        if self.max_halvings < 0:
+            raise ValueError("max_halvings must be non-negative")
+        if not self.noise_sigma >= 0:
+            raise ValueError("noise_sigma must be non-negative")
 
 
 @dataclass

@@ -98,10 +98,26 @@ def _assert_invert_exits_config(tmp_path, capsys, old, new):
 @pytest.mark.parametrize(
     "line",
     ["max_iter = 0", "derivative_mode = bogus", "derivative_mode = spline",
-     "window_policy = bondu", "window_policy = bound", "tol = -1"],
+     "window_policy = bondu", "window_policy = bound", "tol = -1",
+     "max_halvings = -1", "window_steps = -3", "window_steps = 0",
+     "smooth_sigma = -0.01", "sigma = -0.01"],
 )
 def test_bad_inverse_option_exits_config(tmp_path, capsys, line):
-    _assert_invert_exits_config(tmp_path, capsys, "tol = 1e-9", line)
+    # the [noise] level replaces its own line, [inverse] keys the tolerance
+    old = "sigma = 0.001" if line.startswith("sigma") else "tol = 1e-9"
+    _assert_invert_exits_config(tmp_path, capsys, old, line)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("tol = 1e-9", "tol = 1e-9\ntol = 1e-8"),
+     ("[problem]\n", ""),
+     ("tol = 1e-9", "tol 1e-9"),
+     ("u1 = 0*x", "u1 = 0 % x")],
+    ids=["duplicate-key", "no-section-header", "no-equals-sign", "bad-interpolation"],
+)
+def test_config_syntax_error_exits_config(tmp_path, capsys, old, new):
+    _assert_invert_exits_config(tmp_path, capsys, old, new)
 
 
 def test_cli_import_skips_heavy_scipy_modules():

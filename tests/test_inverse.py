@@ -301,3 +301,13 @@ def test_norm_track_recorded():
     tracks = [w.norm_track for w in rec.windows]
     assert all(np.isfinite(tr) and tr >= 0 for tr in tracks)
     assert max(tracks) <= 10.0 * min(tr for tr in tracks if tr > 0)
+
+
+@pytest.mark.parametrize(
+    "bad", [{"max_halvings": -1}, {"window_steps": 0}, {"window_steps": -3},
+            {"noise_sigma": -0.01}],
+)
+def test_inverse_options_reject_negative_values(bad):
+    with pytest.raises(ValueError):
+        InverseOptions(**bad)
+    InverseOptions(window_steps=None, max_halvings=0, noise_sigma=0.0)  # the edges are fine

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memkernel.timeconv import (
     conv,
     conv_field,
+    convolution_matrix,
     integrate_prefix,
     l2_time_norm,
     time_derivative,
 )
-from verify import check_young, check_zero_start
+from verify import check_young, check_zero_start, reference_convolution_matrix
 
 
 def _grid(nt, T=1.0):
@@ -79,6 +82,38 @@ def test_conv_field_matches_columnwise_conv():
     out = conv_field(k, F, dt)
     for j in range(7):
         assert np.allclose(out[:, j], conv(k, F[:, j], dt), atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 128, 129, 401])
+def test_convolution_matrix_bitwise_equals_reference(n):
+    rng = np.random.default_rng(n)
+    k = rng.standard_normal(n)
+    dt = 0.37 / n
+    w = convolution_matrix(k, dt)
+    ref = reference_convolution_matrix(k, dt)
+    assert w.shape == ref.shape == (n, n)
+    assert w.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=127, width=1, seed=0)
+@example(n=128, width=3, seed=1)
+@example(n=129, width=5, seed=2)
+@example(n=256, width=2, seed=3)
+@example(n=257, width=4, seed=4)
+@given(n=st.integers(1, 400), width=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_blocked_conv_matches_dense_reference(n, width, seed):
+    # the blocked product sums in another order than the full one, so the
+    # bound is relative to |W| @ |g|, the scale of its rounding error
+    rng = np.random.default_rng(seed)
+    k = rng.standard_normal(n)
+    field = rng.standard_normal((n, width))
+    dt = rng.uniform(1e-3, 1.0)
+    ref_w = reference_convolution_matrix(k, dt)
+    for out, g in ((conv(k, field[:, 0], dt), field[:, 0]), (conv_field(k, field, dt), field)):
+        assert out.shape == g.shape
+        scale = np.max(np.abs(ref_w) @ np.abs(g))
+        assert np.max(np.abs(out - ref_w @ g)) <= 1e-13 * scale
 
 
 def test_conv_field_constant_in_time():

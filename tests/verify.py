@@ -5,11 +5,13 @@ scheme against the analysis.  ``check_young`` and ``check_zero_start`` are
 the margins of the convolution and zero-start inequalities,
 ``overdetermination_flux_form`` recomputes the measurement from discrete
 u_x, ``equivalent_residual`` is the pointwise residual of the homogeneous
-reformulation, and ``calibrate_constant`` regenerates
-``memkernel.energy.CALIBRATED_BOUND``.
+reformulation, ``calibrate_constant`` regenerates
+``memkernel.energy.CALIBRATED_BOUND``, and ``reference_convolution_matrix``
+is the dense oracle of the library's trapezoid convolution.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from memkernel.direct import profiles, solve_linear_dirichlet
 from memkernel.energy import check_estimate
@@ -27,6 +29,23 @@ def check_young(k, g, dt):
     tau = (k.shape[0] - 1) * dt
     bound = np.sqrt(tau) * l2_time_norm(k, dt) * l2_time_norm(g, dt)
     return bound - l2_time_norm(conv(k, g, dt), dt)
+
+
+def reference_convolution_matrix(k, dt):
+    """Dense trapezoid convolution matrix, scaled by ``dt`` after it is built.
+
+    Row n holds dt * k[n-m] for m = 0..n with both endpoint weights halved,
+    and row 0 is zero; ``reference_convolution_matrix(k, dt) @ g`` is the
+    full product the library's blocked convolution must reproduce.
+    """
+    k = np.asarray(k, dtype=float)
+    n = k.shape[0]
+    w = sliding_window_view(np.concatenate((np.zeros(n - 1), k)), n)[:, ::-1].copy()
+    w[:, 0] *= 0.5
+    w.flat[:: n + 1] *= 0.5  # the diagonal
+    w[0, 0] = 0.0
+    w *= dt
+    return w
 
 
 def check_zero_start(w, dt):
@@ -51,7 +70,7 @@ def overdetermination_flux_form(pd, u):
     """Measurement series from the flux form (discrete u_x); for cross-checks."""
     prof = profiles(pd)
     ux = first_diff(np.asarray(u, float), pd.grid.dx)
-    return quad_trapz(ux * prof.w_flux, pd.grid.dx)
+    return quad_trapz(ux * (prof.phi - pd.beta * prof.phipp), pd.grid.dx)
 
 
 def residual_interior_norm(pd, resid, skip_rows=3):
