@@ -1,12 +1,13 @@
 """Window continuation and adaptive halving.
 
 The fixed-point iteration is only guaranteed to contract on a short
-window; the solved span then shifts forward, with the memory of the past
-entering through lagged convolution tails.  This script reconstructs the
-same kernel with one window and with forced short windows (identical
-answers), then shows a weakly paired sensor/data combination where the
-full-horizon window genuinely fails to contract and the adaptive halving
-rescues the march.
+window; the solved span then shifts forward.  Each window is a row slice
+of the global problem: its memory terms are its rows of the global
+convolutions, split into the solved history and the window's increment.
+This script reconstructs the same kernel with one window and with forced
+short windows (identical answers), then shows a weakly paired sensor/data
+combination where the full-horizon window genuinely fails to contract and
+the adaptive halving rescues the march.
 
 Run from the repository root:  python3 demos/04_window_continuation.py
 """

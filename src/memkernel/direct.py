@@ -74,8 +74,8 @@ class ProblemData:
 
     def __post_init__(self):
         for name in ("beta", "p", "q", "ell", "T"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if abs(self.grid.ell - self.ell) > 1e-12 * self.ell or abs(
             self.grid.T - self.T
         ) > 1e-12 * self.T:

@@ -40,8 +40,8 @@ class Grid:
             raise ValueError("need at least 3 interior space nodes")
         if self.nt < 2:
             raise ValueError("need at least 2 time steps")
-        if self.ell <= 0 or self.T <= 0:
-            raise ValueError("domain length and horizon must be positive")
+        if not (0 < self.ell < np.inf and 0 < self.T < np.inf):
+            raise ValueError("domain length and horizon must be finite and positive")
 
     @property
     def dx(self):

@@ -14,12 +14,13 @@ fixed point of a map A acting on pairs (v, k'):
    updated kernel, the memory of the field iterate, and that source.
 
 Picard iteration of A contracts for short enough windows; the solved span
-then shifts forward.  Later windows carry the memory of everything solved
-so far through precomputed tail terms (a lagged convolution field g, plus
-tail series for the kernel-rate and displacement equations) and through
-"head" convolutions that pair the new window's unknowns with the stored
-early history.  Window length adapts: if the iteration fails to contract,
-the window is halved and retried.
+then shifts forward.  A window is a row slice of the one global problem:
+its memory terms are rows n0..n0+W of the global trapezoid convolutions.
+Each series splits into its solved history (zero past the seam node n0)
+and the window's increment (zero at the seam).  The history x history part
+is computed once per window; each Picard step convolves the increments
+with the other series' history.  Window length adapts: if the iteration
+fails to contract, the window is halved and retried.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .timeconv import (
     Kernel,
     conv,
     conv_field,
+    convolution_matrix,
     integrate_prefix,
     l2_time_norm,
     time_derivative,
@@ -100,7 +102,7 @@ class IterState:
 
 @dataclass
 class WindowData:
-    """Frozen inputs of one window: seams, measurement slices, memory tails."""
+    """Frozen inputs of one window: seams, measurement slices, solved history."""
 
     pd_w: object  # ProblemData restricted to the window's time span
     start: int  # global index of the window's first node
@@ -110,15 +112,9 @@ class WindowData:
     u_tau: np.ndarray
     u_tautau: np.ndarray
     f: np.ndarray  # (5, W+1) measurement derivative slices
-    # memory of the already-solved span (present when start > 0)
-    khat_head: np.ndarray | None = None  # kernel over the first W+1 nodes
-    kphat_head: np.ndarray | None = None
-    Phat_head: np.ndarray | None = None  # early-history sensor projections
-    Ghat_head: np.ndarray | None = None  # early-history boundary functionals
-    Vxx_head: np.ndarray | None = None  # early-history field curvature
-    g_tail: np.ndarray | None = None  # lagged convolution field
-    tail_proj: np.ndarray | None = None
-    tail_G: np.ndarray | None = None
+    # the solved span (present when start > 0); see ``_solved_history``
+    head: dict | None = None
+    tails: dict | None = None
 
 
 @dataclass
@@ -155,17 +151,20 @@ def state_distance(s1, s2, grid_w):
     return dv + dk
 
 
-def _window_memory(conv_fn, k_w, g_w, k_head, g_head, tail, dt):
-    """Memory convolution (k * g) on a window.
+def _window_memory(conv_fn, a_w, b_w, a, b, head, tails, dt):
+    """Rows n0..n0+W of the global trapezoid convolution (a * b).
 
-    Without history (``tail`` is None) it is ``conv_fn(k_w, g_w)``.  Later
-    windows add the pairings of the window's unknowns with the early history
-    (``k_head``, ``g_head``: the first W+1 global nodes) and the lagged
-    integral over the solved span (``tail``).
+    ``a_w``, ``b_w`` are the window's iterates of the series ``a``, ``b``.
+    The first window (``tails`` None) convolves them directly.  Later ones
+    add to the history x history part ``tails[b]`` each increment (the
+    iterate with its seam entry zeroed) convolved with the other series'
+    ``head``; increment x increment vanishes on these rows as W <= n0.
     """
-    if tail is None:
-        return conv_fn(k_w, g_w, dt)
-    return conv_fn(k_w, g_head, dt) + conv_fn(k_head, g_w, dt) + tail
+    if tails is None:
+        return conv_fn(a_w, b_w, dt)
+    da, db = np.array(a_w, dtype=float), np.array(b_w, dtype=float)
+    da[0] = db[0] = 0.0
+    return conv_fn(da, head[b], dt) + conv_fn(head[a], db, dt) + tails[b]
 
 
 def apply_map_A(state, win, setup, pd, vt_sign=1.0):
@@ -182,8 +181,8 @@ def apply_map_A(state, win, setup, pd, vt_sign=1.0):
     proj_v = quad_trapz(v * prof.phippp, dx)
     proj_vt = quad_trapz(vt * prof.phippp, dx)
 
-    mem_proj = _window_memory(conv, kp_old, proj_v, win.kphat_head, win.Phat_head,
-                              win.tail_proj, dt)
+    hist = (win.head, win.tails, dt)  # the solved span, None on the first window
+    mem_proj = _window_memory(conv, kp_old, proj_v, "kp", "proj", *hist)
     kp_new = setup.alpha * (
         win.f[4] + vt_sign * proj_vt - setup.k0 * proj_v - mem_proj
     )
@@ -191,19 +190,13 @@ def apply_map_A(state, win, setup, pd, vt_sign=1.0):
 
     g_of_v = sensor_functional(setup, win.f[1], vxx, dx)
     gp_of_v = sensor_functional(setup, win.f[2], vxxt, dx)
-    mem_g = _window_memory(conv, kp_old, g_of_v, win.kphat_head, win.Ghat_head,
-                           win.tail_G, dt)
+    mem_g = _window_memory(conv, kp_old, g_of_v, "kp", "gfun", *hist)
     y3 = gp_of_v - kp_new * setup.ghat_u0 - setup.k0 * g_of_v - mem_g
     y2 = integrate_prefix(y3, win.y2_seam, dt)
     z2 = pd.p * y3 + pd.q * y2
 
-    mem_field = _window_memory(conv_field, k_new, vxx, win.khat_head, win.Vxx_head,
-                               win.g_tail, dt)
-    K = (
-        -np.outer(k_new, prof.u0pp)
-        - mem_field
-        + np.outer(z2, grid_w.x / pd.ell)
-    )
+    mem_field = _window_memory(conv_field, k_new, vxx, "k", "vxx", *hist)
+    K = -np.outer(k_new, prof.u0pp) - mem_field + np.outer(z2, grid_w.x / pd.ell)
     v_new = solve_linear_dirichlet(win.pd_w, win.u_tau, win.u_tautau, K)
 
     if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(kp_new))):
@@ -219,7 +212,7 @@ def _initial_state(win, setup, pd, kprime0=0.0):
     kp = np.full(W + 1, kprime0)
     K = -win.k_seam * np.outer(np.ones(W + 1), prof.u0pp)
     if win.start > 0:
-        K = K - win.g_tail
+        K = K - win.tails["vxx"]
     v = solve_linear_dirichlet(win.pd_w, win.u_tau, win.u_tautau, K)
     return IterState(v=v, kprime=kp, yccc=np.zeros(W + 1))
 
@@ -273,26 +266,30 @@ def solve_window(win, setup, pd, tol=1e-10, max_iter=50, vt_sign=1.0,
     raise NoConvergence(max_iter, ratio, window=win.start)
 
 
-def _shift_weights(khat_vals, n0, W, dt):
-    """(W+1, n0+1) matrix of lagged-kernel trapezoid weights.
+def _solved_history(glob, n0, W, dt):
+    """What a window of W <= n0 steps at n0 > 0 needs of the solved span.
 
-    Row n holds dt * khat[n0 + n - m] for m = n..n0 (endpoint weights
-    halved), realizing the tail integral over the solved span.  Requires
-    W <= n0; the last row is empty when W == n0.
+    ``head``: read-only views of the global series over nodes 0..W.
+    ``tails``: rows n0.. of the convolution matrix of each kernel's history
+    (zero past n0) times the series' history, keyed by the series: ``proj``
+    and ``gfun`` against ``kp``, ``vxx`` against ``k``.
     """
-    rows = np.arange(W + 1)
-    m = np.arange(n0 + 1)[None, :]
-    idx = n0 + rows[:, None] - m
-    valid = m >= rows[:, None]
-    wts = np.where(valid, khat_vals[np.clip(idx, 0, n0)], 0.0)
-    wts[rows, rows] *= 0.5  # first contributing node of each row (m = n)
-    wts[:, n0] *= 0.5  # last contributing node (m = n0)
-    if W == n0:
-        wts[W, :] = 0.0  # empty integration span
-    return dt * wts
+    head = {name: arr[: W + 1] for name, arr in glob.items()}
+    for view in head.values():
+        view.flags.writeable = False
+    rows = {}
+    for name in ("kp", "k"):
+        kernel = np.zeros(n0 + W + 1)
+        kernel[: n0 + 1] = glob[name][: n0 + 1]
+        rows[name] = convolution_matrix(kernel, dt)[n0:, : n0 + 1]
+    pairs = (("kp", "proj"), ("kp", "gfun"), ("k", "vxx"))
+    tails = {b: rows[a] @ glob[b][: n0 + 1] for a, b in pairs}
+    return head, tails
 
 
-def _window_data(pd, setup, n0, W, k_run, kp_glob, v_glob, hist):
+def _window_data(pd, setup, n0, W, glob=None):
+    """Inputs of the window of W steps at node n0, reading its seams and the
+    solved history from the global arrays ``glob`` (unused when n0 == 0)."""
     grid = pd.grid
     dt = grid.dt
     pd_w = replace(pd, T=W * dt, grid=grid.time_window(W))
@@ -303,22 +300,13 @@ def _window_data(pd, setup, n0, W, k_run, kp_glob, v_glob, hist):
             y2_seam=setup.y2prime0, u_tau=setup.v0row, u_tautau=setup.v1row,
             f=fslice,
         )
-    u_tau = v_glob[n0]
-    u_tautau = (3.0 * v_glob[n0] - 4.0 * v_glob[n0 - 1] + v_glob[n0 - 2]) / (2.0 * dt)
-    wk = _shift_weights(k_run[: n0 + 1], n0, W, dt)
-    wkp = _shift_weights(kp_glob[: n0 + 1], n0, W, dt)
+    v = glob["v"]
+    head, tails = _solved_history(glob, n0, W, dt)
     return WindowData(
-        pd_w=pd_w, start=n0, steps=W, k_seam=float(k_run[n0]),
-        y2_seam=float(hist["y2"][n0]), u_tau=u_tau, u_tautau=u_tautau,
-        f=fslice,
-        khat_head=k_run[: W + 1].copy(),
-        kphat_head=kp_glob[: W + 1].copy(),
-        Phat_head=hist["proj"][: W + 1].copy(),
-        Ghat_head=hist["gfun"][: W + 1].copy(),
-        Vxx_head=hist["vxx"][: W + 1].copy(),
-        g_tail=wk @ hist["vxx"][: n0 + 1],
-        tail_proj=wkp @ hist["proj"][: n0 + 1],
-        tail_G=wkp @ hist["gfun"][: n0 + 1],
+        pd_w=pd_w, start=n0, steps=W, k_seam=float(glob["k"][n0]),
+        y2_seam=float(glob["y2"][n0]), u_tau=v[n0],
+        u_tautau=(3.0 * v[n0] - 4.0 * v[n0 - 1] + v[n0 - 2]) / (2.0 * dt),
+        f=fslice, head=head, tails=tails,
     )
 
 
@@ -326,8 +314,8 @@ def reconstruct(pd, f, options=InverseOptions()):
     """Recover the kernel (and the field/oscillator) from the measurement.
 
     Marches windows across [0, T]; each window is solved by Picard
-    iteration and its results are appended to the global arrays and to the
-    memory histories the following windows convolve against.
+    iteration and writes its rows into the global arrays, from which the
+    following windows read their seams and solved history.
     """
     setup = build_setup(pd, f, noise_sigma=options.noise_sigma)
     report = check_compatibility(setup, pd)
@@ -338,21 +326,8 @@ def reconstruct(pd, f, options=InverseOptions()):
     nt, nx, dt, dx = grid.nt, grid.nx, grid.dt, grid.dx
     prof = profiles(pd)
 
-    v_glob = np.zeros((nt + 1, nx + 2))
-    kp_glob = np.zeros(nt + 1)
-    y3_glob = np.zeros(nt + 1)
-    hist = {
-        "proj": np.zeros(nt + 1),  # sensor projection of the solved field
-        "gfun": np.zeros(nt + 1),  # boundary functional of the solved field
-        "vxx": np.zeros((nt + 1, nx + 2)),
-        "y2": np.zeros(nt + 1),
-    }
-    v_glob[0] = setup.v0row
-    hist["vxx"][0] = second_diff(setup.v0row, dx)
-    hist["proj"][0] = quad_trapz(setup.v0row * prof.phippp, dx)
-    hist["gfun"][0] = sensor_functional(setup, setup.f_derivs[1][0], hist["vxx"][0], dx)
-    hist["y2"][0] = setup.y2prime0
-    k_run = np.full(nt + 1, setup.k0)
+    glob = {name: np.zeros(nt + 1) for name in ("k", "kp", "y2", "y3", "proj", "gfun")}
+    glob.update(v=np.zeros((nt + 1, nx + 2)), vxx=np.zeros((nt + 1, nx + 2)))
 
     # start wide and let non-convergence halve the window
     width = options.window_steps if options.window_steps is not None else nt
@@ -362,11 +337,9 @@ def reconstruct(pd, f, options=InverseOptions()):
     prev_track = None
     while n0 < nt:
         W = min(width, nt - n0)
-        if n0 > 0:
-            W = min(W, n0)  # the shift identities need the solved span >= W
         halvings = 0
         while True:
-            win = _window_data(pd, setup, n0, W, k_run, kp_glob, v_glob, hist)
+            win = _window_data(pd, setup, n0, W, glob)
             try:
                 state, distances = solve_window(
                     win, setup, pd, tol=options.tol, max_iter=options.max_iter,
@@ -380,25 +353,22 @@ def reconstruct(pd, f, options=InverseOptions()):
                 halvings += 1
         width = W  # never grow back: keeps every window within the solved span
 
-        sl = slice(n0 + 1, n0 + W + 1)
-        v_glob[sl] = state.v[1:]
-        kp_glob[sl] = state.kprime[1:]
-        y3_glob[sl] = state.yccc[1:]
-        if n0 == 0:
-            kp_glob[0] = state.kprime[0]
-            y3_glob[0] = state.yccc[0]
-        k_run = integrate_prefix(kp_glob, setup.k0, dt)
-        hist["y2"][: n0 + W + 1] = integrate_prefix(
-            y3_glob[: n0 + W + 1], setup.y2prime0, dt
-        )
-        vxx_new = second_diff(state.v[1:], dx)
-        hist["vxx"][sl] = vxx_new
-        hist["proj"][sl] = quad_trapz(state.v[1:] * prof.phippp, dx)
-        hist["gfun"][sl] = sensor_functional(setup, setup.f_derivs[1][sl], vxx_new, dx)
+        # write the rows the window solved; its seam belongs to the span before
+        new = slice(0 if n0 == 0 else 1, W + 1)
+        rows = slice(n0 + new.start, n0 + W + 1)
+        v = state.v[new]
+        vxx = second_diff(v, dx)
+        glob["v"][rows] = v
+        glob["vxx"][rows] = vxx
+        glob["proj"][rows] = quad_trapz(v * prof.phippp, dx)
+        glob["gfun"][rows] = sensor_functional(setup, win.f[1][new], vxx, dx)
+        glob["kp"][rows] = state.kprime[new]
+        glob["y3"][rows] = state.yccc[new]
+        solved = slice(0, n0 + W + 1)
+        glob["k"][solved] = integrate_prefix(glob["kp"][solved], setup.k0, dt)
+        glob["y2"][solved] = integrate_prefix(glob["y3"][solved], setup.y2prime0, dt)
 
-        track = solution_norm(state.v, win.pd_w.grid) + l2_time_norm(
-            state.kprime, dt
-        )
+        track = solution_norm(state.v, win.pd_w.grid) + l2_time_norm(state.kprime, dt)
         if prev_track is not None and track > NORM_TRACK_BOUND * prev_track:
             warnings.warn(
                 f"window norm grew from {prev_track:.3g} to {track:.3g}, "
@@ -415,11 +385,10 @@ def reconstruct(pd, f, options=InverseOptions()):
         )
         n0 += W
 
-    kernel = Kernel.from_kprime(kp_glob, setup.k0, dt)
-    y2 = integrate_prefix(y3_glob, setup.y2prime0, dt)
-    yprime = integrate_prefix(y2, setup.yprime0, dt)
+    kernel = Kernel.from_kprime(glob["kp"], setup.k0, dt)
+    yprime = integrate_prefix(glob["y2"], setup.yprime0, dt)
     y = integrate_prefix(yprime, setup.y0, dt)
     return Reconstruction(
-        kernel=kernel, v=v_glob, y=y, yprime=yprime, y2=y2, y3=y3_glob,
-        windows=windows, report=report, setup=setup,
+        kernel=kernel, v=glob["v"], y=y, yprime=yprime, y2=glob["y2"],
+        y3=glob["y3"], windows=windows, report=report, setup=setup,
     )

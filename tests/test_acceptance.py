@@ -178,7 +178,7 @@ def test_criterion_6_contraction_and_halving():
     setup2 = build_setup(pd2, f2)
     raised = False
     try:
-        solve_window(_window_data(pd2, setup2, 0, 160, None, None, None, None),
+        solve_window(_window_data(pd2, setup2, 0, 160),
                      setup2, pd2)
     except NoConvergence:
         raised = True

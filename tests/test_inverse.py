@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_problem
 from memkernel.direct import solve_direct
@@ -14,10 +16,11 @@ from memkernel.inverse import (
     reconstruct,
     solve_window,
     state_distance,
-    _shift_weights,
+    _solved_history,
     _window_data,
+    _window_memory,
 )
-from memkernel.timeconv import Kernel, conv, l2_time_norm
+from memkernel.timeconv import Kernel, conv, conv_field, convolution_matrix, l2_time_norm
 
 PI = repr(np.pi)
 TWIN_KW = dict(phi=f"sin({PI}*x)^3", u0=f"sin({2 * np.pi}*x)", u1="0*x")
@@ -38,28 +41,40 @@ def rel_kernel_error(rec, pd, kexpr):
     return l2_time_norm(rec.kernel.k - kt, pd.grid.dt) / l2_time_norm(kt, pd.grid.dt)
 
 
-def test_shift_weights_reproduce_global_convolution():
-    rng = np.random.default_rng(3)
-    nt, dt = 120, 0.01
-    k = rng.standard_normal(nt + 1)
-    g = rng.standard_normal(nt + 1)
-    full = conv(k, g, dt)
-    for n0, W in ((60, 40), (60, 60), (90, 30)):
-        split = (
-            conv(k[n0 : n0 + W + 1], g[: W + 1], dt)
-            + conv(k[: W + 1], g[n0 : n0 + W + 1], dt)
-            + _shift_weights(k[: n0 + 1], n0, W, dt) @ g[: n0 + 1]
-        )
-        assert np.allclose(split, full[n0 : n0 + W + 1], atol=1e-12)
+@settings(max_examples=60, deadline=None)
+@example(W=1, extra=0, width=1, seed=0)
+@example(W=1, extra=5, width=2, seed=1)
+@example(W=40, extra=0, width=3, seed=2)
+@given(W=st.integers(1, 60), extra=st.integers(0, 60), width=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_window_memory_is_a_slice_of_the_global_convolution(W, extra, width, seed):
+    # random series and fields on the whole span; the window at n0 >= W
+    # sees nodes 0..n0 as solved history and its own nodes n0..n0+W as
+    # iterates, and must reproduce rows n0..n0+W of the global conv and
+    # conv_field.  The split sums round differently from the global ones,
+    # so the bound is relative to |M| @ |g|, M the convolution matrix.
+    rng = np.random.default_rng(seed)
+    n0 = W + extra
+    n = n0 + W + 1
+    dt = rng.uniform(1e-3, 1.0)
+    glob = {name: rng.standard_normal(n) for name in ("k", "kp", "proj", "gfun")}
+    glob["vxx"] = rng.standard_normal((n, width))
+    head, tails = _solved_history(glob, n0, W, dt)
+    rows = slice(n0, n)
+    for conv_fn, a, b in ((conv, "kp", "proj"), (conv, "kp", "gfun"),
+                          (conv_field, "k", "vxx")):
+        mem = _window_memory(conv_fn, glob[a][rows], glob[b][rows], a, b, head, tails, dt)
+        ref = conv_fn(glob[a], glob[b], dt)[rows]
+        scale = np.max((np.abs(convolution_matrix(glob[a], dt)) @ np.abs(glob[b]))[rows])
+        assert mem.shape == ref.shape
+        assert np.max(np.abs(mem - ref)) <= 1e-13 * scale
 
 
 def test_map_zero_data_returns_zero_state():
     pd = twin_problem(u0="0*x", u1="0*x")
     setup = build_setup(pd, parse("0*t", "t"))
     W = 40
-    win = _window_data(pd, setup, 0, W, np.zeros(pd.grid.nt + 1),
-                       np.zeros(pd.grid.nt + 1), np.zeros((pd.grid.nt + 1, pd.grid.nx + 2)),
-                       None)
+    win = _window_data(pd, setup, 0, W)
     z = np.zeros(W + 1)
     state = IterState(v=np.zeros((W + 1, pd.grid.nx + 2)), kprime=z.copy(),
                       yccc=z.copy())
@@ -79,7 +94,7 @@ def test_map_near_fixed_point_on_twin_truth():
     setup = build_setup(pd, sol.f)
     v_true, _ = transform_to_v(pd, sol)
     W = pd.grid.nt
-    win = _window_data(pd, setup, 0, W, None, None, None, None)
+    win = _window_data(pd, setup, 0, W)
     state = IterState(v=v_true, kprime=np.zeros(W + 1), yccc=np.zeros(W + 1))
     out = apply_map_A(state, win, setup, pd)
     assert l2_time_norm(out.kprime, pd.grid.dt) <= 0.05
@@ -91,7 +106,7 @@ def test_map_contracts_between_nearby_states():
     f, _ = twin_measurement(pd, "0.4*cos(2*t)")
     setup = build_setup(pd, f)
     W = 40  # short window: strong contraction
-    win = _window_data(pd, setup, 0, W, None, None, None, None)
+    win = _window_data(pd, setup, 0, W)
     from memkernel.inverse import _initial_state
 
     base = _initial_state(win, setup, pd)
@@ -115,7 +130,7 @@ def test_map_contracts_between_nearby_states():
 def test_window_zero_data_converges_immediately():
     pd = twin_problem(u0="0*x", u1="0*x")
     setup = build_setup(pd, parse("0*t", "t"))
-    win = _window_data(pd, setup, 0, 40, None, None, None, None)
+    win = _window_data(pd, setup, 0, 40)
     state, distances = solve_window(win, setup, pd)
     assert len(distances) == 1
     assert distances[0] == 0.0
@@ -126,7 +141,7 @@ def test_window_distance_sequence_contracts():
     pd = twin_problem(nx=100, nt=200)
     f, _ = twin_measurement(pd, "0.5*exp(-t)")
     setup = build_setup(pd, f)
-    win = _window_data(pd, setup, 0, 50, None, None, None, None)
+    win = _window_data(pd, setup, 0, 50)
     state, distances = solve_window(win, setup, pd)
     ratios = [distances[i + 1] / distances[i] for i in range(len(distances) - 1)]
     assert all(r < 1.0 for r in ratios[-3:])
@@ -141,7 +156,7 @@ def test_oversized_window_not_convergent_and_halving_recovers():
                       u0=f"sin({PI}*x)+0.01*sin({2 * np.pi}*x)", u1="0*x")
     f, kern = twin_measurement(pd, "0.4*cos(2*t)")
     setup = build_setup(pd, f)
-    win = _window_data(pd, setup, 0, 160, None, None, None, None)
+    win = _window_data(pd, setup, 0, 160)
     with pytest.raises(NoConvergence):
         solve_window(win, setup, pd)
     rec = reconstruct(pd, f, InverseOptions(force=True))
@@ -254,7 +269,7 @@ def test_fixed_point_residual_small_after_convergence():
     f, _ = twin_measurement(pd, "0.4*cos(2*t)")
     setup = build_setup(pd, f)
     tol = 1e-9
-    win = _window_data(pd, setup, 0, pd.grid.nt, None, None, None, None)
+    win = _window_data(pd, setup, 0, pd.grid.nt)
     state, distances = solve_window(win, setup, pd, tol=tol)
     again = apply_map_A(state, win, setup, pd)
     move = state_distance(again, state, win.pd_w.grid)
