@@ -82,13 +82,9 @@ def solution_norm(v, grid):
     """
     v = np.asarray(v, float)
     dt, dx = grid.dt, grid.dx
-    total = 0.0
-    layer = v
-    for _ in range(3):
-        rows = spatial_h2_norm(layer, dx)
-        total += l2_time_norm(rows, dt)
-        layer = time_derivative(layer, dt)
-    return float(total)
+    vt = time_derivative(v, dt)
+    layers = (v, vt, time_derivative(vt, dt))
+    return float(sum(l2_time_norm(spatial_h2_norm(layer, dx), dt) for layer in layers))
 
 
 def check_estimate(v, v0row, v1row, K, beta, grid, bound=None):

@@ -4,6 +4,11 @@ All series live on the shared uniform time grid ``t_n = n*dt``.  The
 convolution (k * g)(t_n) uses the composite trapezoid rule in the lag
 variable, with the value at t_0 forced to exactly zero (the continuous
 convolution vanishes there and several initial-time identities rely on it).
+
+A single series is convolved without a matrix: the first n terms of the
+linear convolution less the two halved endpoint products, O(n) memory.  A
+field is multiplied by the dense lower-triangular convolution matrix, whose
+n^2 build is shared by all of its columns.
 """
 
 from __future__ import annotations
@@ -97,7 +102,8 @@ def convolution_matrix(k, dt):
 
 
 def _lower_product(w, g):
-    """``w @ g`` for lower-triangular ``w``, skipping its zero upper triangle.
+    """``w @ g`` for lower-triangular ``w`` and a 2-D ``g``, skipping the
+    zero upper triangle of ``w``; ``conv_field``'s product.
 
     Rows ``r0:r1`` need only the first ``r1`` columns of ``w`` and rows of
     ``g``; the slice ``w[r0:r1, :r1]`` has unit inner stride, so BLAS reads
@@ -112,12 +118,20 @@ def _lower_product(w, g):
 
 
 def conv(k, g, dt):
-    """Trapezoid convolution of two equal-length series; exact 0 at t_0."""
+    """Trapezoid convolution of two equal-length series; exact 0 at t_0.
+
+    Row n of the linear convolution is sum_{m<=n} k[n-m] g[m]; the trapezoid
+    rule halves its two endpoint terms k[n] g[0] and k[0] g[n].
+    """
     k = np.asarray(k, dtype=float)
     g = np.asarray(g, dtype=float)
     if k.shape != g.shape:
         raise ValueError(f"length mismatch: {k.shape} vs {g.shape}")
-    return _lower_product(convolution_matrix(k, dt), g)
+    out = np.convolve(k, g)[: k.shape[0]]
+    out -= 0.5 * (k * g[0] + k[0] * g)
+    out *= dt
+    out[0] = 0.0
+    return out
 
 
 def conv_field(k, field, dt):

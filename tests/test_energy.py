@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_problem
 from memkernel.direct import solve_linear_dirichlet
@@ -9,7 +11,8 @@ from memkernel.energy import (
     energy_series,
     solution_norm,
 )
-from verify import calibrate_constant
+from memkernel.grids import Grid, spatial_h2_norm
+from verify import calibrate_constant, reference_solution_norm, reference_spatial_h2_norm
 
 
 def _calibration_problem():
@@ -109,3 +112,25 @@ def test_solution_norm_matches_hand_value():
     n = solution_norm(v, g)
     exact = np.sqrt(0.5 + np.pi**2 / 2 + np.pi**4 / 2)
     assert n == pytest.approx(exact, rel=2e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@example(rows=1201, nx=100, scale=1.0, seed=0)
+@example(rows=101, nx=160, scale=1.0, seed=1)
+@example(rows=401, nx=100, scale=1e-12, seed=2)
+@given(rows=st.integers(3, 300), nx=st.integers(3, 200),
+       scale=st.sampled_from((1.0, 1e-12)), seed=st.integers(0, 2**32 - 1))
+def test_solution_norm_matches_full_field_reference(rows, nx, scale, seed):
+    # rows = W + 1 time levels of a window; 1e-12 is the size of iterate
+    # differences near the roundoff floor.  Every part of the norm is a sum
+    # of squares, so the one-pass sums may differ from the reference only
+    # in rounding, relative to the norm itself.
+    rng = np.random.default_rng(seed)
+    grid = Grid(ell=1.0, T=rng.uniform(0.1, 4.0), nx=nx, nt=rows - 1)
+    v = scale * rng.standard_normal((rows, nx + 2))
+    ref = reference_solution_norm(v, grid)
+    assert abs(solution_norm(v, grid) - ref) <= 1e-13 * ref
+    row_norm = spatial_h2_norm(v[0], grid.dx)
+    row_ref = reference_spatial_h2_norm(v[0], grid.dx)
+    assert np.ndim(row_norm) == 0
+    assert abs(row_norm - row_ref) <= 1e-13 * row_ref

@@ -216,6 +216,17 @@ def test_window_stops_when_contraction_ends(monkeypatch):
     assert calls <= sum(w.iterations for w in rec.windows) + 2 * len(rec.windows)
 
 
+def test_final_window_never_leaves_a_one_step_tail():
+    # 121 steps in 60-step windows would leave one step after the second
+    # window, and a one-step window has no time grid; it stops a step short
+    pd = twin_problem(nx=60, nt=121)
+    f, _ = twin_measurement(pd, "0.4*cos(2*t)")
+    rec = reconstruct(pd, f, InverseOptions(window_steps=60, force=True))
+    assert [(w.start, w.steps) for w in rec.windows] == [(0, 60), (60, 59), (119, 2)]
+    assert all(w.steps <= w.start for w in rec.windows[1:])
+    assert np.all(np.isfinite(rec.kernel.k))
+
+
 def test_window_seams_are_continuous():
     pd = twin_problem(nx=100, nt=200)
     f, _ = twin_measurement(pd, "0.4*cos(2*t)")

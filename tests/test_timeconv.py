@@ -101,6 +101,8 @@ def test_convolution_matrix_bitwise_equals_reference(n):
 @example(n=129, width=5, seed=2)
 @example(n=256, width=2, seed=3)
 @example(n=257, width=4, seed=4)
+@example(n=2, width=1, seed=5)
+@example(n=1201, width=3, seed=6)
 @given(n=st.integers(1, 400), width=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 def test_blocked_conv_matches_dense_reference(n, width, seed):
     # the blocked product sums in another order than the full one, so the

@@ -6,8 +6,10 @@ the margins of the convolution and zero-start inequalities,
 ``overdetermination_flux_form`` recomputes the measurement from discrete
 u_x, ``equivalent_residual`` is the pointwise residual of the homogeneous
 reformulation, ``calibrate_constant`` regenerates
-``memkernel.energy.CALIBRATED_BOUND``, and ``reference_convolution_matrix``
-is the dense oracle of the library's trapezoid convolution.
+``memkernel.energy.CALIBRATED_BOUND``, ``reference_convolution_matrix``
+is the dense oracle of the library's trapezoid convolution, and
+``reference_solution_norm`` is the iteration metric built from the full
+difference fields.
 """
 
 import numpy as np
@@ -46,6 +48,30 @@ def reference_convolution_matrix(k, dt):
     w[0, 0] = 0.0
     w *= dt
     return w
+
+
+def reference_spatial_h2_norm(row, dx):
+    """Discrete H2(I) norm from the full ``first_diff`` and ``second_diff``
+    fields: the trapezoid L2 norms of the value and its two differences."""
+    r = np.asarray(row, dtype=float)
+    parts = (
+        quad_trapz(r * r, dx)
+        + quad_trapz(first_diff(r, dx) ** 2, dx)
+        + quad_trapz(second_diff(r, dx) ** 2, dx)
+    )
+    return np.sqrt(parts)
+
+
+def reference_solution_norm(v, grid):
+    """``memkernel.energy.solution_norm`` as a composition of its parts: the
+    L2 time norms of the per-row H2 norms of v, v_t and v_tt, each built
+    from the full difference fields."""
+    total = 0.0
+    layer = np.asarray(v, dtype=float)
+    for _ in range(3):
+        total += l2_time_norm(reference_spatial_h2_norm(layer, grid.dx), grid.dt)
+        layer = time_derivative(layer, grid.dt)
+    return float(total)
 
 
 def check_zero_start(w, dt):
