@@ -3,9 +3,11 @@
 The fixed-point iteration is only guaranteed to contract on a short
 window; the solved span then shifts forward.  Each window is a row slice
 of the global problem: its memory terms are its rows of the global
-convolutions, split into the solved history and the window's increment.
-This script reconstructs the same kernel with one window and with forced
-short windows (identical answers), then shows a weakly paired sensor/data
+convolutions, split into the solved history and the window's increment,
+and its march continues the global one from the two solved levels before
+its seam.  This script reconstructs the same kernel with one window and
+with forced short windows, and prints how far each windowed kernel is from
+the single-window one.  Then it shows a weakly paired sensor/data
 combination where the full-horizon window genuinely fails to contract and
 the adaptive halving rescues the march.
 
@@ -43,11 +45,15 @@ f = solve_direct(pd, k_true).f
 kt = 0.4 * np.cos(2 * pd.grid.t)
 
 print("Same data, different window widths:")
-for steps, label in ((None, "single window"), (50, "4 windows"), (25, "8 windows")):
-    rec = reconstruct(pd, f, InverseOptions(window_steps=steps))
+runs = [(label, reconstruct(pd, f, InverseOptions(window_steps=steps)))
+        for steps, label in ((None, "single window"), (50, "4 windows"), (25, "8 windows"))]
+k_one = runs[0][1].kernel.k
+for label, rec in runs:
     rel = l2_time_norm(rec.kernel.k - kt, pd.grid.dt) / l2_time_norm(kt, pd.grid.dt)
+    diff = l2_time_norm(rec.kernel.k - k_one, pd.grid.dt) / l2_time_norm(k_one, pd.grid.dt)
     iters = [w.iterations for w in rec.windows]
-    print(f"   {label:14s} rel err {rel:.2e}   iterations per window {iters}")
+    print(f"   {label:14s} rel err {rel:.2e}   vs single window {diff:.1e}   "
+          f"iterations per window {iters}")
 
 print("\nWeak sensor/data pairing (near-degenerate coupling integral):")
 pd2 = make_pd(f"sin({PI}*x)+0.01*sin({2 * np.pi}*x)", nx=80, nt=160)

@@ -13,14 +13,12 @@ from .direct import (
     solve_direct,
     solve_linear_dirichlet,
 )
-from .energy import EnergyTrack, check_estimate, energy_series
+from .energy import EnergyTrack, energy_series
 from .equivalence import (
     CompatReport,
     EquivSetup,
     build_setup,
     check_compatibility,
-    transform_to_v,
-    u_from_v,
 )
 from .errors import (
     AlphaDegenerate,
@@ -51,7 +49,6 @@ __all__ = [
     "Reconstruction",
     "build_setup",
     "check_compatibility",
-    "check_estimate",
     "conv",
     "conv_field",
     "differentiate",
@@ -66,6 +63,4 @@ __all__ = [
     "solve_direct",
     "solve_linear_dirichlet",
     "to_text",
-    "transform_to_v",
-    "u_from_v",
 ]

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 from configparser import ConfigParser, Error as ConfigParserError
 from pathlib import Path
 
@@ -85,6 +86,12 @@ _SECTIONS = {
     "output": ("field_format",),
 }
 _KEY_SECTION = {k: s for s, keys in _SECTIONS.items() for k in keys}
+# each key converts to the type RunConfig declares for it; ``int | None``
+# converts to int
+_KEY_TYPE = {
+    name: next((a for a in typing.get_args(tp) if a is not type(None)), tp)
+    for name, tp in typing.get_type_hints(RunConfig).items()
+}
 # config files use sigma/seed under [noise]
 _ALIASES = {("noise", "sigma"): "noise_sigma", ("noise", "seed"): "noise_seed"}
 
@@ -102,7 +109,6 @@ def load_config(path):
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     cfg = RunConfig()
-    types = {f.name: f.type for f in fields(RunConfig)}
     for section, section_items in items.items():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
@@ -111,14 +117,7 @@ def load_config(path):
             if _KEY_SECTION.get(name) != section:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
-                if name in ("nx", "nt", "max_iter", "window_steps",
-                            "max_halvings", "noise_seed"):
-                    value = int(raw)
-                elif name in ("beta", "p", "q", "ell", "T", "tol",
-                              "smooth_sigma", "noise_sigma"):
-                    value = float(raw)
-                else:
-                    value = raw
+                value = _KEY_TYPE[name](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r} in [{section}]: {raw!r}") from exc
             setattr(cfg, name, value)

@@ -20,6 +20,9 @@ __all__ = [
 ]
 
 
+ROW_BLOCK = 64  # time rows per write of ``write_field_long``
+
+
 def _fmt(value):
     return repr(float(value))
 
@@ -44,14 +47,24 @@ def write_timeseries(path, t, values, header="t,value"):
 
 
 def write_field_long(path, x, t, field):
-    """Long format: one `x,t,value` row per node."""
+    """Long format: one `x,t,value` row per node.
+
+    Time rows are formatted and written in blocks of ``ROW_BLOCK``, so the
+    strings of one block, not of the whole field, are alive at once.
+    """
     xs = list(map(repr, np.asarray(x, dtype=float).tolist()))
-    rows = np.asarray(field, dtype=float).tolist()
-    lines = ["x,t,value"]
-    for tn, row in zip(np.asarray(t, dtype=float).tolist(), rows, strict=True):
-        mid = f",{tn!r},"
-        lines.append("\n".join([xi + mid + v for xi, v in zip(xs, map(repr, row), strict=True)]))
-    write_text(path, "\n".join(lines) + "\n")
+    t = np.asarray(t, dtype=float)
+    field = np.asarray(field, dtype=float)
+    if field.shape != (t.shape[0], len(xs)):
+        raise ValueError(f"field shape {field.shape} does not match the x and t nodes")
+    with open(path, "w", encoding="ascii", newline="\n") as out:
+        out.write("x,t,value\n")
+        for b in range(0, t.shape[0], ROW_BLOCK):
+            lines = []
+            for tn, row in zip(t[b : b + ROW_BLOCK].tolist(), field[b : b + ROW_BLOCK].tolist()):
+                mid = f",{tn!r},"
+                lines.extend(xi + mid + v for xi, v in zip(xs, map(repr, row)))
+            out.write("\n".join(lines) + "\n")
 
 
 def write_field_matrix(path, x, t, field):

@@ -28,6 +28,9 @@ Dirichlet problem v_tt - v_xx - beta v_xxtt = K used inside the inverse
 iteration, but in the discrete sine basis: with both ends pinned, D_xx and
 (I - beta D_xx)^{-1} are diagonal there, so the march is one projection of
 K, an independent three-term recurrence per mode and one transform back.
+Only a march from t = 0 takes the Taylor start.  A march continued from
+two solved levels takes the recurrence itself as its first step, so a
+window of the inverse iteration steps exactly the rows of the global march.
 
 ``forcing`` and ``flux_forcing`` are verification hooks: they inject a known
 residual into the field equation and the flux balance so that manufactured
@@ -273,16 +276,22 @@ def solve_direct(pd, kernel, forcing=None, flux_forcing=None,
     return DirectSolution(u=u, y=y, yprime=yp, f=overdetermination(pd, u))
 
 
-def solve_linear_dirichlet(pd, v0row, v1row, K):
+def solve_linear_dirichlet(pd, v0row, v1row, K, prev_row=None):
     """March v_tt - v_xx - beta v_xxtt = K with homogeneous Dirichlet ends.
 
     The three-level scheme of ``solve_direct`` with both ends pinned, run
     in the sine basis where D_xx and (I - beta D_xx)^{-1} are diagonal:
     each mode follows vhat^{n+1} = c vhat^n - vhat^{n-1} + Khat^n with
     c = 2 - dt^2 mu/(1 + beta mu) and Khat the projected forcing scaled by
-    dt^2/(1 + beta mu).  The Taylor start takes the second difference of
-    ``v0row`` in physical space, so nonzero endpoints of ``v0row`` enter it.
-    Row 0 is ``v0row`` as given; every later row vanishes at both ends.
+    dt^2/(1 + beta mu).
+
+    Without ``prev_row`` the march starts at t = 0: its second level is the
+    Taylor start from ``v0row`` and the velocity ``v1row``.  That start
+    takes the second difference of ``v0row`` in physical space, so nonzero
+    endpoints of ``v0row`` enter it.  ``prev_row`` is the solved level one
+    step before ``v0row``: the march then continues a global one, its first
+    step is the recurrence itself, and ``v1row`` is not read.  Row 0 is
+    ``v0row`` as given; every later row vanishes at both ends.
     """
     grid = pd.grid
     nx, nt, dx, dt = grid.nx, grid.nt, grid.dx, grid.dt
@@ -294,10 +303,6 @@ def solve_linear_dirichlet(pd, v0row, v1row, K):
     c = 2.0 - gain * mu
     proj = 2.0 / (nx + 1)
 
-    v0row = np.asarray(v0row, dtype=float)
-    rows = np.stack([v0row, np.asarray(v1row, float), second_diff(v0row, dx)])
-    w0, w1, d0 = proj * (rows[:, 1:-1] @ S)
-
     # The march runs inside the output: h[n] holds the scaled forcing of
     # level n until step n overwrites it with vhat^{n+1}; K[nt] never
     # enters the march.
@@ -305,7 +310,15 @@ def solve_linear_dirichlet(pd, v0row, v1row, K):
     h = v[1:, 1:-1]
     np.matmul(K[:nt, 1:-1], S, out=h)
     h *= proj * gain
-    h[0] = w0 + dt * w1 + 0.5 * (h[0] + gain * d0)
+    v0row = np.asarray(v0row, dtype=float)
+    if prev_row is None:
+        rows = np.stack([v0row, np.asarray(v1row, float), second_diff(v0row, dx)])
+        w0, w1, d0 = proj * (rows[:, 1:-1] @ S)
+        h[0] = w0 + dt * w1 + 0.5 * (h[0] + gain * d0)
+    else:
+        rows = np.stack([np.asarray(prev_row, float), v0row])
+        w_prev, w0 = proj * (rows[:, 1:-1] @ S)
+        h[0] += c * w0 - w_prev
     prev = w0
     for n in range(1, nt):
         h[n] += c * h[n - 1] - prev

@@ -11,8 +11,8 @@ quantity that reformulation needs from (constants, u0, u1, phi, f):
 * the measurement series f with its first four time derivatives,
 * the four initial-time compatibility identities linking f to the data.
 
-It also implements both directions of the equivalence: transforming a
-direct solution into (v, z) and integrating v back into u.
+Both directions of the equivalence, a direct solution into (v, z) and v
+back into u, are checked by the test suite (``tests/verify.py``).
 
 Data constants and compatibility residuals are computed with per-cell
 Gauss-Legendre quadrature of the exact expressions (near machine precision
@@ -29,11 +29,10 @@ import numpy as np
 
 from .csvio import _fmt
 from .derivatives import derivative_stack, derivative_stack_from_expression
-from .direct import DirectSolution, _initial_oscillator, profile_exprs, profiles
+from .direct import _initial_oscillator, profile_exprs, profiles
 from .errors import AlphaDegenerate, BoundaryIncompatible, PsiDegenerate
 from .expressions import FuncExpr
 from .grids import DispersiveInverse, quad_trapz
-from .timeconv import integrate_prefix, time_derivative
 
 __all__ = [
     "EquivSetup",
@@ -42,8 +41,6 @@ __all__ = [
     "build_setup",
     "check_compatibility",
     "sensor_functional",
-    "u_from_v",
-    "transform_to_v",
     "prefix_integral_row",
     "gl_integral",
 ]
@@ -307,20 +304,3 @@ def sensor_functional(setup, f_vals, wxx, dx):
     if abs(setup.psi_ell) < DEGENERACY_FLOOR:
         raise PsiDegenerate("psi(ell) below the degeneracy floor")
     return (f_vals + quad_trapz(setup.psi_row * wxx, dx)) / setup.psi_ell
-
-
-def u_from_v(pd, v, z, u0row):
-    """Integrate v back to u:  u(t) = u0 + prefix integral of (v - z x/ell)."""
-    integrand = np.asarray(v, float) - np.outer(np.asarray(z, float), pd.grid.x / pd.ell)
-    return integrate_prefix(integrand, np.asarray(u0row, float), pd.grid.dt)
-
-
-def transform_to_v(pd, sol: DirectSolution):
-    """Forward direction of the equivalence: (u, y) -> (v, z).
-
-    z = p y' + q y and v = u_t + z x/ell with u_t by centered differences.
-    """
-    z = pd.p * sol.yprime + pd.q * sol.y
-    ut = time_derivative(sol.u, pd.grid.dt)
-    v = ut + np.outer(z, pd.grid.x / pd.ell)
-    return v, z

@@ -14,8 +14,10 @@ fixed point of a map A acting on pairs (v, k'):
    updated kernel, the memory of the field iterate, and that source.
 
 Picard iteration of A contracts for short enough windows; the solved span
-then shifts forward.  A window is a row slice of the one global problem:
-its memory terms are rows n0..n0+W of the global trapezoid convolutions.
+then shifts forward.  A window is a row slice of the one global problem.
+Its Dirichlet march continues the global one from the two solved levels
+n0-1 and n0; only the first window takes the Taylor start.  Its memory
+terms are rows n0..n0+W of the global trapezoid convolutions.
 Each series splits into its solved history (zero past the seam node n0)
 and the window's increment (zero at the seam).  The history x history part
 is computed once per window; each Picard step convolves the increments
@@ -102,7 +104,12 @@ class IterState:
 
 @dataclass
 class WindowData:
-    """Frozen inputs of one window: seams, measurement slices, solved history."""
+    """Frozen inputs of one window: seams, measurement slices, solved history.
+
+    The march continues the global one from ``u_before`` and ``u_tau``, the
+    solved levels n0-1 and n0; window 0 has no ``u_before`` and takes the
+    Taylor start from the initial velocity.
+    """
 
     pd_w: object  # ProblemData restricted to the window's time span
     start: int  # global index of the window's first node
@@ -110,7 +117,7 @@ class WindowData:
     k_seam: float
     y2_seam: float
     u_tau: np.ndarray
-    u_tautau: np.ndarray
+    u_before: np.ndarray | None
     f: np.ndarray  # (5, W+1) measurement derivative slices
     # the solved span (present when start > 0); see ``_solved_history``
     head: dict | None = None
@@ -197,7 +204,7 @@ def apply_map_A(state, win, setup, pd, vt_sign=1.0):
 
     mem_field = _window_memory(conv_field, k_new, vxx, "k", "vxx", *hist)
     K = -np.outer(k_new, prof.u0pp) - mem_field + np.outer(z2, grid_w.x / pd.ell)
-    v_new = solve_linear_dirichlet(win.pd_w, win.u_tau, win.u_tautau, K)
+    v_new = solve_linear_dirichlet(win.pd_w, win.u_tau, setup.v1row, K, win.u_before)
 
     if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(kp_new))):
         raise NonFinite("fixed-point map output")
@@ -213,7 +220,7 @@ def _initial_state(win, setup, pd, kprime0=0.0):
     K = -win.k_seam * np.outer(np.ones(W + 1), prof.u0pp)
     if win.start > 0:
         K = K - win.tails["vxx"]
-    v = solve_linear_dirichlet(win.pd_w, win.u_tau, win.u_tautau, K)
+    v = solve_linear_dirichlet(win.pd_w, win.u_tau, setup.v1row, K, win.u_before)
     return IterState(v=v, kprime=kp, yccc=np.zeros(W + 1))
 
 
@@ -297,15 +304,14 @@ def _window_data(pd, setup, n0, W, glob=None):
     if n0 == 0:
         return WindowData(
             pd_w=pd_w, start=0, steps=W, k_seam=setup.k0,
-            y2_seam=setup.y2prime0, u_tau=setup.v0row, u_tautau=setup.v1row,
+            y2_seam=setup.y2prime0, u_tau=setup.v0row, u_before=None,
             f=fslice,
         )
     v = glob["v"]
     head, tails = _solved_history(glob, n0, W, dt)
     return WindowData(
         pd_w=pd_w, start=n0, steps=W, k_seam=float(glob["k"][n0]),
-        y2_seam=float(glob["y2"][n0]), u_tau=v[n0],
-        u_tautau=(3.0 * v[n0] - 4.0 * v[n0 - 1] + v[n0 - 2]) / (2.0 * dt),
+        y2_seam=float(glob["y2"][n0]), u_tau=v[n0], u_before=v[n0 - 1],
         f=fslice, head=head, tails=tails,
     )
 

@@ -9,17 +9,8 @@ import numpy as np
 
 from conftest import make_problem
 from memkernel.direct import solve_direct, solve_linear_dirichlet
-from memkernel.energy import (
-    CALIBRATED_BOUND,
-    check_estimate,
-    energy_series,
-    solution_norm,
-)
-from memkernel.equivalence import (
-    build_setup,
-    check_compatibility,
-    transform_to_v,
-)
+from memkernel.energy import energy_series, solution_norm
+from memkernel.equivalence import build_setup, check_compatibility
 from memkernel.errors import NoConvergence
 from memkernel.expressions import parse
 from memkernel.inverse import (
@@ -35,12 +26,15 @@ from memkernel.timeconv import (
 )
 from test_direct import _manufactured_case
 from verify import (
+    CALIBRATED_BOUND,
     _random_case,
     calibrate_constant,
+    check_estimate,
     check_young,
     check_zero_start,
     equivalent_residual,
     residual_interior_norm,
+    transform_to_v,
 )
 
 PI = repr(np.pi)

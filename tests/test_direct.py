@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -135,6 +135,21 @@ def test_dirichlet_manufactured_convergence():
     assert 1.7 <= np.log2(errs[0] / errs[1]) <= 2.3
 
 
+def _random_march_case(nx, nt, beta, cfl, seed):
+    """A stable grid and random Dirichlet data; cfl = dt over the stability
+    limit of the highest mode, |c| < 2.  The random ``v0`` has nonzero
+    endpoints, which enter the Taylor start."""
+    dx = 1.0 / (nx + 1)
+    mu_max = 4.0 / dx**2 * np.sin(np.pi * nx / (2 * (nx + 1))) ** 2
+    dt = 2.0 * cfl * np.sqrt((1.0 + beta * mu_max) / mu_max)
+    pd = make_problem(nx=nx, nt=nt, beta=beta, T=nt * dt)
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(nx + 2)
+    v1 = rng.standard_normal(nx + 2)
+    K = rng.standard_normal((nt + 1, nx + 2))
+    return pd, v0, v1, K
+
+
 @settings(max_examples=60, deadline=None)
 @example(nx=3, nt=2, beta=0.1, cfl=0.5, seed=0)
 @example(nx=100, nt=60, beta=0.05, cfl=0.95, seed=1)  # nx + 1 = 101 is prime
@@ -146,20 +161,39 @@ def test_dirichlet_manufactured_convergence():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_modal_march_matches_banded_reference(nx, nt, beta, cfl, seed):
-    # cfl = dt over the stability limit of the highest mode, |c| < 2
-    dx = 1.0 / (nx + 1)
-    mu_max = 4.0 / dx**2 * np.sin(np.pi * nx / (2 * (nx + 1))) ** 2
-    dt = 2.0 * cfl * np.sqrt((1.0 + beta * mu_max) / mu_max)
-    pd = make_problem(nx=nx, nt=nt, beta=beta, T=nt * dt)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(nx + 2)  # nonzero endpoints enter the Taylor start
-    v1 = rng.standard_normal(nx + 2)
-    K = rng.standard_normal((nt + 1, nx + 2))
+    pd, v0, v1, K = _random_march_case(nx, nt, beta, cfl, seed)
     v = solve_linear_dirichlet(pd, v0, v1, K)
     ref = banded_march(pd, v0, v1, K)
     assert np.array_equal(v[0], v0)
     assert np.all(v[1:, [0, -1]] == 0.0)
     assert np.max(np.abs(v - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@example(nx=3, nt=3, beta=0.1, cfl=0.5, seed=0, cut=0, width=0)
+@example(nx=100, nt=120, beta=0.05, cfl=0.95, seed=1, cut=0, width=117)
+@given(
+    nx=st.integers(3, 64),
+    nt=st.integers(3, 120),
+    beta=st.floats(1e-3, 2.0),
+    cfl=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+    cut=st.integers(0, 2**16),
+    width=st.integers(0, 2**16),
+)
+def test_seeded_march_continues_the_global_march(nx, nt, beta, cfl, seed, cut, width):
+    # a march seeded with the solved levels n0-1 and n0 must reproduce rows
+    # n0..n0+W of the march from t = 0, which took the Taylor start; a time
+    # grid needs two steps, so 2 <= W <= nt - n0
+    pd, v0, v1, K = _random_march_case(nx, nt, beta, cfl, seed)
+    v = solve_linear_dirichlet(pd, v0, v1, K)
+    n0 = 1 + cut % (nt - 2)
+    W = 2 + width % (nt - n0 - 1)
+    pd_w = replace(pd, T=W * pd.grid.dt, grid=pd.grid.time_window(W))
+    rows = slice(n0, n0 + W + 1)
+    win = solve_linear_dirichlet(pd_w, v[n0], None, K[rows], prev_row=v[n0 - 1])
+    assert np.array_equal(win[0], v[n0])
+    assert np.max(np.abs(win - v[rows])) <= 1e-12 * np.max(np.abs(v))
 
 
 def test_cached_arrays_are_read_only():

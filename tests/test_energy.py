@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 
 from conftest import make_problem
 from memkernel.direct import solve_linear_dirichlet
-from memkernel.energy import (
-    CALIBRATED_BOUND,
-    check_estimate,
-    energy_series,
-    solution_norm,
-)
+from memkernel.energy import energy_series, solution_norm
 from memkernel.grids import Grid, spatial_h2_norm
-from verify import calibrate_constant, reference_solution_norm, reference_spatial_h2_norm
+from verify import (
+    CALIBRATED_BOUND,
+    calibrate_constant,
+    check_estimate,
+    reference_solution_norm,
+    reference_spatial_h2_norm,
+)
 
 
 def _calibration_problem():

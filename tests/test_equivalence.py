@@ -8,14 +8,12 @@ from memkernel.equivalence import (
     check_compatibility,
     prefix_integral_row,
     sensor_functional,
-    transform_to_v,
-    u_from_v,
 )
 from memkernel.errors import AlphaDegenerate, BoundaryIncompatible, PsiDegenerate
 from memkernel.expressions import parse
 from memkernel.grids import quad_trapz
 from memkernel.timeconv import Kernel
-from verify import equivalent_residual, residual_interior_norm
+from verify import equivalent_residual, residual_interior_norm, transform_to_v, u_from_v
 
 
 def _zero_series(pd):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import make_problem
 from memkernel.direct import solve_direct
 from memkernel.energy import solution_norm
-from memkernel.equivalence import build_setup, transform_to_v
+from memkernel.equivalence import build_setup
 from memkernel.errors import CompatibilityFailed, NoConvergence
 from memkernel.expressions import parse
 from memkernel.inverse import (
@@ -21,6 +21,7 @@ from memkernel.inverse import (
     _window_memory,
 )
 from memkernel.timeconv import Kernel, conv, conv_field, convolution_matrix, l2_time_norm
+from verify import transform_to_v
 
 PI = repr(np.pi)
 TWIN_KW = dict(phi=f"sin({PI}*x)^3", u0=f"sin({2 * np.pi}*x)", u1="0*x")
@@ -192,6 +193,18 @@ def test_twin_windowed_march_matches_single_window():
     e1 = rel_kernel_error(rec_one, pd, "0.4*cos(2*t)")
     e4 = rel_kernel_error(rec_win, pd, "0.4*cos(2*t)")
     assert abs(e1 - e4) < 0.5 * max(e1, e4) + 1e-3
+
+
+def test_windowed_kernel_does_not_depend_on_the_window_width():
+    # later windows continue the global march from their two solved levels,
+    # so the seams add no error of their own
+    pd = twin_problem(nx=100, nt=200)
+    f, _ = twin_measurement(pd, "0.4*cos(2*t)")
+    k_one = reconstruct(pd, f).kernel.k
+    rec_win = reconstruct(pd, f, InverseOptions(window_steps=50))
+    assert len(rec_win.windows) == 4
+    dt = pd.grid.dt
+    assert l2_time_norm(rec_win.kernel.k - k_one, dt) <= 5e-5 * l2_time_norm(k_one, dt)
 
 
 def test_window_stops_when_contraction_ends(monkeypatch):

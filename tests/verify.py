@@ -3,22 +3,70 @@
 The library never calls these; the tests use them to check the discrete
 scheme against the analysis.  ``check_young`` and ``check_zero_start`` are
 the margins of the convolution and zero-start inequalities,
+``check_estimate`` is the margin of the calibrated a priori bound
+``CALIBRATED_BOUND`` on the Dirichlet march, which ``calibrate_constant``
+regenerates, ``transform_to_v`` and ``u_from_v`` are the two directions of
+the equivalence between the direct and the homogeneous problem,
 ``overdetermination_flux_form`` recomputes the measurement from discrete
 u_x, ``equivalent_residual`` is the pointwise residual of the homogeneous
-reformulation, ``calibrate_constant`` regenerates
-``memkernel.energy.CALIBRATED_BOUND``, ``reference_convolution_matrix``
-is the dense oracle of the library's trapezoid convolution, and
-``reference_solution_norm`` is the iteration metric built from the full
-difference fields.
+reformulation, ``reference_convolution_matrix`` is the dense oracle of the
+library's trapezoid convolution, and ``reference_solution_norm`` is the
+iteration metric built from the full difference fields.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from memkernel.direct import profiles, solve_linear_dirichlet
-from memkernel.energy import check_estimate
+from memkernel.energy import solution_norm
 from memkernel.grids import first_diff, quad_trapz, second_diff, spatial_h2_norm
-from memkernel.timeconv import Kernel, conv, conv_field, l2_time_norm, time_derivative
+from memkernel.timeconv import (
+    Kernel,
+    conv,
+    conv_field,
+    integrate_prefix,
+    l2_time_norm,
+    time_derivative,
+)
+
+# 1.2 x the largest LHS/RHS ratio observed on the 20-case calibration suite
+# (seed 777, beta=0.1, nx=80, nt=200); the ratio converges under grid
+# refinement, so the same constant serves finer grids of this family.
+# Regenerate with calibrate_constant(20, seed=777, pd=<family problem>).
+CALIBRATED_BOUND = 17.845101900212978
+
+
+def check_estimate(v, v0row, v1row, K, beta, grid, bound=None):
+    """Margin of the calibrated stability estimate; nonnegative is healthy.
+
+    Returns bound * (|v0| + |v1| + |K|) - |v| with the H2 surrogates of
+    ``memkernel.energy.solution_norm``.  The a priori constant is not
+    computable from the analysis, so it is calibrated once on a
+    manufactured suite and frozen: a stability sentinel, not a proof.
+    """
+    c = CALIBRATED_BOUND if bound is None else bound
+    dx, dt = grid.dx, grid.dt
+    lhs = solution_norm(v, grid)
+    k_norm = l2_time_norm(np.sqrt(quad_trapz(np.asarray(K, float) ** 2, dx)), dt)
+    rhs = spatial_h2_norm(v0row, dx) + spatial_h2_norm(v1row, dx) + k_norm
+    return c * rhs - lhs
+
+
+def u_from_v(pd, v, z, u0row):
+    """Integrate v back to u:  u(t) = u0 + prefix integral of (v - z x/ell)."""
+    integrand = np.asarray(v, float) - np.outer(np.asarray(z, float), pd.grid.x / pd.ell)
+    return integrate_prefix(integrand, np.asarray(u0row, float), pd.grid.dt)
+
+
+def transform_to_v(pd, sol):
+    """Forward direction of the equivalence: (u, y) -> (v, z).
+
+    z = p y' + q y and v = u_t + z x/ell with u_t by centered differences.
+    """
+    z = pd.p * sol.yprime + pd.q * sol.y
+    ut = time_derivative(sol.u, pd.grid.dt)
+    v = ut + np.outer(z, pd.grid.x / pd.ell)
+    return v, z
 
 
 def check_young(k, g, dt):
