@@ -20,7 +20,7 @@ __all__ = [
 ]
 
 
-ROW_BLOCK = 64  # time rows per write of ``write_field_long``
+ROW_BLOCK = 64  # time rows per write of the field writers
 
 
 def _fmt(value):
@@ -68,9 +68,18 @@ def write_field_long(path, x, t, field):
 
 
 def write_field_matrix(path, x, t, field):
-    """Matrix format: first row the x nodes, first column the t nodes."""
-    lines = ["t\\x," + ",".join(map(repr, np.asarray(x, dtype=float).tolist()))]
-    rows = np.asarray(field, dtype=float).tolist()
-    for tn, row in zip(np.asarray(t, dtype=float).tolist(), rows, strict=True):
-        lines.append(repr(tn) + "," + ",".join(map(repr, row)))
-    write_text(path, "\n".join(lines) + "\n")
+    """Matrix format: first row the x nodes, first column the t nodes.
+
+    Rows are formatted and written in blocks of ``ROW_BLOCK``, as in
+    ``write_field_long``.
+    """
+    t = np.asarray(t, dtype=float)
+    field = np.asarray(field, dtype=float)
+    if field.shape[0] != t.shape[0]:
+        raise ValueError(f"field has {field.shape[0]} rows for {t.shape[0]} t nodes")
+    with open(path, "w", encoding="ascii", newline="\n") as out:
+        out.write("t\\x," + ",".join(map(repr, np.asarray(x, dtype=float).tolist())) + "\n")
+        for b in range(0, t.shape[0], ROW_BLOCK):
+            rows = zip(t[b : b + ROW_BLOCK].tolist(), field[b : b + ROW_BLOCK].tolist())
+            out.write("".join(repr(tn) + "," + ",".join(map(repr, row)) + "\n"
+                              for tn, row in rows))

@@ -39,9 +39,13 @@ class CompatibilityFailed(MemKernelError):
 
 
 class NoConvergence(MemKernelError):
-    """Fixed-point iteration did not contract within the allowed iterations."""
+    """Fixed-point iteration did not contract within the allowed iterations.
 
-    def __init__(self, iterations, last_ratio, window=None):
+    ``reason`` is ``"budget"`` when the iteration limit ran out and
+    ``"diverged"`` when the distances blew up first.
+    """
+
+    def __init__(self, iterations, last_ratio, window=None, reason="budget"):
         where = f" in window {window}" if window is not None else ""
         super().__init__(
             f"no convergence after {iterations} iterations{where} "
@@ -50,6 +54,7 @@ class NoConvergence(MemKernelError):
         self.iterations = iterations
         self.last_ratio = last_ratio
         self.window = window
+        self.reason = reason
 
 
 class NonFinite(MemKernelError):

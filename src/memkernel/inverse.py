@@ -21,8 +21,16 @@ terms are rows n0..n0+W of the global trapezoid convolutions.
 Each series splits into its solved history (zero past the seam node n0)
 and the window's increment (zero at the seam).  The history x history part
 is computed once per window; each Picard step convolves the increments
-with the other series' history.  Window length adapts: if the iteration
-fails to contract, the window is halved and retried.
+with the other series' history.
+
+Without a fixed ``window_steps`` the widths are chosen for cost.  On this
+Volterra system the Picard distances follow d_n = d_(n-1) c / n, with c
+proportional to the window width, so the map calls per window grow faster
+than its width.  The third map call of an attempt fits c; the attempt is
+abandoned for a window of half its width or less when that is predicted
+to cost fewer map calls per solved step, and each accepted window sizes
+the next one from its own fit.  An attempt that diverges or runs out of
+``max_iter`` is halved and retried.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .direct import solve_linear_dirichlet, profiles
 from .energy import solution_norm
@@ -46,7 +55,6 @@ from .timeconv import (
     Kernel,
     conv,
     conv_field,
-    convolution_matrix,
     integrate_prefix,
     l2_time_norm,
     time_derivative,
@@ -73,7 +81,7 @@ class InverseOptions:
 
     tol: float = 1e-10
     max_iter: int = 50
-    window_steps: int | None = None  # None: the full horizon, halved on demand
+    window_steps: int | None = None  # None: widths chosen for cost, starting at nt
     max_halvings: int = 6
     vt_sign: float = +1.0  # sign of the velocity-projection term; see README
     noise_sigma: float = 0.0
@@ -133,6 +141,8 @@ class WindowDiagnostics:
     distances: tuple
     halvings: int
     norm_track: float
+    contraction: float  # c fitted on the accepted attempt; 0 on a shorter record
+    retries: tuple  # per abandoned attempt: "cost", "budget" or "diverged"
 
 
 @dataclass
@@ -148,6 +158,11 @@ class Reconstruction:
     windows: list
     report: object
     setup: EquivSetup
+
+
+def _state_norm(state, grid_w):
+    """Size of one iterate in the iteration metric."""
+    return solution_norm(state.v, grid_w) + l2_time_norm(state.kprime, grid_w.dt)
 
 
 def state_distance(s1, s2, grid_w):
@@ -226,6 +241,24 @@ def _initial_state(win, setup, pd, kprime0=0.0):
 
 FLOOR_TOL = 1e-6  # stagnation below this relative level counts as the floor
 NORM_TRACK_BOUND = 10.0  # window-to-window norm growth that draws a warning
+PROBE_CALL = 3  # the map call after which an adaptive attempt fits its profile
+
+# Fixed cost of one map call, in rows of window: a call plus its distance
+# takes about t0 + t1*W, and CALL_ROWS = t0/t1.  Measured in-process with one
+# BLAS thread on a 2-vCPU x86-64 Linux VM (Python 3.11, numpy 2.4), on later
+# windows of the bench grids (nx = 100, 160, 200; W = 12..400):
+# t ~ 0.75 ms + 17..24 us * W, so t0/t1 ~ 33..41 rows.  Single fits on that
+# shared host spread from 15 to 88 rows; across that range the chosen widths
+# change by up to 2x, while the modelled cost changes by at most 27%.
+CALL_ROWS = 36
+
+
+class _Narrow(Exception):
+    """An adaptive attempt abandoned at the probe for a narrower window."""
+
+    def __init__(self, steps):
+        super().__init__(f"retry at {steps} steps")
+        self.steps = steps
 
 
 def _trim_floor_wobble(distances):
@@ -240,19 +273,57 @@ def _trim_floor_wobble(distances):
     return distances[: cut + 1]
 
 
+def _contraction(distances):
+    """The profile constant c = n d_n / d_(n-1) at n = PROBE_CALL, or 0 if
+    the record is shorter or stalls at an exact zero."""
+    if len(distances) < PROBE_CALL or distances[PROBE_CALL - 2] == 0:
+        return 0.0
+    return PROBE_CALL * distances[PROBE_CALL - 1] / distances[PROBE_CALL - 2]
+
+
+def _predicted_calls(c, max_iter):
+    """Map calls until the profile d_m = d_1 prod_{j=2..m} c/j falls to
+    FLOOR_TOL * d_1; infinite if that takes more than ``max_iter``."""
+    drop = 1.0
+    for m in range(2, max_iter + 1):
+        drop *= c / m
+        if drop <= FLOOR_TOL:
+            return m
+    return np.inf
+
+
+def _cheapest_width(kappa, widths, max_iter):
+    """The width of least predicted map-call cost per solved step, for a
+    profile constant c = kappa * width; the narrowest on a tie."""
+    def cost(w):
+        return _predicted_calls(kappa * w, max_iter) * (w + CALL_ROWS) / w
+
+    return min(widths, key=lambda w: (cost(w), w))
+
+
+def _widths_upto(ladder, cap):
+    """``cap`` and the rungs of ``ladder`` below it."""
+    return [cap] + [w for w in ladder if w < cap]
+
+
 def solve_window(win, setup, pd, tol=1e-10, max_iter=50, vt_sign=1.0,
-                 initial_kprime=0.0):
+                 initial_kprime=0.0, widths=None):
     """Iterate the map to its fixed point on one window.
 
     With scale = 1 + first-step distance, the window is accepted when the
     successive-iterate distance d falls to tol * scale, or when it is at or
-    below FLOOR_TOL * scale and no longer halves (d > 0.5 * previous d).
-    The metric contains doubled difference stencils, which amplify
-    roundoff, so the geometric decay can bottom out on that floor above the
-    tolerance; the second clause stops there instead of crawling along it.
-    The floor-noise steps are dropped from the contraction record.  Raises
-    ``NoConvergence`` if the iteration diverges or the budget runs out (the
-    caller then halves the window).
+    below the floor FLOOR_TOL * max(scale, s) and no longer halves
+    (d > 0.5 * previous d); s is the norm of the first map output.  The
+    metric contains doubled difference stencils, which amplify roundoff in
+    proportion to the iterate, so the geometric decay can bottom out on
+    that floor above the tolerance; the second clause stops there instead
+    of crawling along it.  The floor-noise steps are dropped from the
+    contraction record.  Raises ``NoConvergence`` if the iteration diverges
+    or the budget runs out (the caller then halves the window).
+
+    ``widths``, when given, are the candidate widths of an adaptive window.
+    After the PROBE_CALL-th map call the fitted profile picks the cheapest;
+    if it is at most half this window, the attempt stops with ``_Narrow``.
     """
     grid_w = win.pd_w.grid
     state = _initial_state(win, setup, pd, initial_kprime)
@@ -263,12 +334,18 @@ def solve_window(win, setup, pd, tol=1e-10, max_iter=50, vt_sign=1.0,
         d_prev = distances[-1] if distances else np.inf
         distances.append(d)
         state = new
-        scale = 1.0 + distances[0]
+        if it == 1:
+            scale = 1.0 + d
+            floor = FLOOR_TOL * max(scale, _state_norm(new, grid_w))
         if not np.isfinite(d) or d > 1e4 * scale:
             raise NoConvergence(it, d / d_prev if it > 1 else np.inf,
-                                window=win.start)
-        if d <= tol * scale or (d <= FLOOR_TOL * scale and d > 0.5 * d_prev):
+                                window=win.start, reason="diverged")
+        if d <= tol * scale or (d <= floor and d > 0.5 * d_prev):
             return state, _trim_floor_wobble(distances)
+        if it == PROBE_CALL and widths is not None:
+            steps = _cheapest_width(_contraction(distances) / win.steps, widths, max_iter)
+            if 2 * steps <= win.steps:
+                raise _Narrow(steps)
     ratio = distances[-1] / distances[-2] if len(distances) > 1 else np.inf
     raise NoConvergence(max_iter, ratio, window=win.start)
 
@@ -277,20 +354,26 @@ def _solved_history(glob, n0, W, dt):
     """What a window of W <= n0 steps at n0 > 0 needs of the solved span.
 
     ``head``: read-only views of the global series over nodes 0..W.
-    ``tails``: rows n0.. of the convolution matrix of each kernel's history
-    (zero past n0) times the series' history, keyed by the series: ``proj``
-    and ``gfun`` against ``kp``, ``vxx`` against ``k``.
+    ``tails``: rows n0..n0+W of the global convolution of each kernel's
+    history (zero past n0) with the series' history, keyed by the series:
+    ``proj`` and ``gfun`` against ``kp``, ``vxx`` against ``k``.  Only the
+    (W+1) x (n0+1) block of the convolution matrix that these rows read is
+    built for the field; row i of it is dt*k[n0-m+i] over columns m >= i,
+    with the two endpoint weights of row 0 halved.
     """
     head = {name: arr[: W + 1] for name, arr in glob.items()}
     for view in head.values():
         view.flags.writeable = False
-    rows = {}
-    for name in ("kp", "k"):
-        kernel = np.zeros(n0 + W + 1)
-        kernel[: n0 + 1] = glob[name][: n0 + 1]
-        rows[name] = convolution_matrix(kernel, dt)[n0:, : n0 + 1]
-    pairs = (("kp", "proj"), ("kp", "gfun"), ("k", "vxx"))
-    tails = {b: rows[a] @ glob[b][: n0 + 1] for a, b in pairs}
+    hist = slice(0, n0 + 1)
+    tails = {}
+    for name in ("proj", "gfun"):
+        kp, series = np.zeros(n0 + W + 1), np.zeros(n0 + W + 1)
+        kp[hist], series[hist] = glob["kp"][hist], glob[name][hist]
+        tails[name] = conv(kp, series, dt)[n0:]
+    lags = np.concatenate((np.zeros(W), dt * glob["k"][n0::-1]))
+    block = sliding_window_view(lags, n0 + 1)[::-1].copy()
+    block[0, [0, n0]] *= 0.5
+    tails["vxx"] = block @ glob["vxx"][hist]
     return head, tails
 
 
@@ -335,9 +418,13 @@ def reconstruct(pd, f, options=InverseOptions()):
     glob = {name: np.zeros(nt + 1) for name in ("k", "kp", "y2", "y3", "proj", "gfun")}
     glob.update(v=np.zeros((nt + 1, nx + 2)), vxx=np.zeros((nt + 1, nx + 2)))
 
-    # start wide and let non-convergence halve the window
-    width = options.window_steps if options.window_steps is not None else nt
+    # an adaptive march starts at the full horizon
+    adaptive = options.window_steps is None
+    width = nt if adaptive else options.window_steps
     width = int(np.clip(width, MIN_WINDOW_STEPS, nt))
+    ladder = []  # half-octave widths down from nt, an adaptive window's candidates
+    while (w := round(nt * 2.0 ** (-len(ladder) / 2))) >= MIN_WINDOW_STEPS:
+        ladder.append(w)
     windows = []
     n0 = 0
     prev_track = None
@@ -345,21 +432,32 @@ def reconstruct(pd, f, options=InverseOptions()):
         W = min(width, nt - n0)
         if nt - n0 - W == 1:
             W -= 1  # a one-step tail has no time grid; leave two steps
-        halvings = 0
+        retries = []
         while True:
             win = _window_data(pd, setup, n0, W, glob)
+            probe = adaptive and len(retries) < options.max_halvings
             try:
                 state, distances = solve_window(
                     win, setup, pd, tol=options.tol, max_iter=options.max_iter,
                     vt_sign=options.vt_sign, initial_kprime=options.initial_kprime,
+                    widths=_widths_upto(ladder, W) if probe else None,
                 )
                 break
-            except NoConvergence:
-                if halvings >= options.max_halvings or W // 2 < MIN_WINDOW_STEPS:
+            except _Narrow as exc:
+                W = exc.steps
+                retries.append("cost")
+            except NoConvergence as exc:
+                if len(retries) >= options.max_halvings or W // 2 < MIN_WINDOW_STEPS:
                     raise
                 W //= 2
-                halvings += 1
-        width = W  # never grow back: keeps every window within the solved span
+                retries.append(exc.reason)
+        contraction = _contraction(distances)
+        if adaptive:
+            # W <= n0 keeps increment x increment off the window's rows
+            width = _cheapest_width(contraction / W, _widths_upto(ladder, n0 + W),
+                                    options.max_iter)
+        else:
+            width = W  # never grow back: keeps every window within the solved span
 
         # write the rows the window solved; its seam belongs to the span before
         new = slice(0 if n0 == 0 else 1, W + 1)
@@ -376,7 +474,7 @@ def reconstruct(pd, f, options=InverseOptions()):
         glob["k"][solved] = integrate_prefix(glob["kp"][solved], setup.k0, dt)
         glob["y2"][solved] = integrate_prefix(glob["y3"][solved], setup.y2prime0, dt)
 
-        track = solution_norm(state.v, win.pd_w.grid) + l2_time_norm(state.kprime, dt)
+        track = _state_norm(state, win.pd_w.grid)
         if prev_track is not None and track > NORM_TRACK_BOUND * prev_track:
             warnings.warn(
                 f"window norm grew from {prev_track:.3g} to {track:.3g}, "
@@ -388,7 +486,8 @@ def reconstruct(pd, f, options=InverseOptions()):
             WindowDiagnostics(
                 index=len(windows), start=n0, steps=W,
                 iterations=len(distances), distances=tuple(distances),
-                halvings=halvings, norm_track=track,
+                halvings=len(retries), norm_track=track,
+                contraction=contraction, retries=tuple(retries),
             )
         )
         n0 += W

@@ -15,7 +15,7 @@ from memkernel.csvio import (
 X = np.array([0.0, 0.1, 1e16])
 T = np.array([-0.0, 5e-324])
 FIELD = np.array([[-0.0, 5e-324, 1e16], [0.1, 0.1 + 0.2, -1e-300]])
-# the same rows on top of a field taller than one block of the long writer
+# the same rows on top of a field taller than one block of the field writers
 _EXTRA = 2 * ROW_BLOCK + 1
 TALL_T = np.concatenate((T, 0.1 * np.arange(1, _EXTRA + 1)))
 TALL_FIELD = np.vstack((FIELD, np.sin(np.arange(3 * _EXTRA)).reshape(_EXTRA, 3) / 3))

@@ -187,9 +187,9 @@ def test_twin_exponential_kernel():
 def test_twin_windowed_march_matches_single_window():
     pd = twin_problem(nx=100, nt=200)
     f, _ = twin_measurement(pd, "0.4*cos(2*t)")
-    rec_one = reconstruct(pd, f)
+    rec_one = reconstruct(pd, f, InverseOptions(window_steps=pd.grid.nt))
     rec_win = reconstruct(pd, f, InverseOptions(window_steps=50))
-    assert len(rec_win.windows) == 4
+    assert len(rec_one.windows) == 1 and len(rec_win.windows) == 4
     e1 = rel_kernel_error(rec_one, pd, "0.4*cos(2*t)")
     e4 = rel_kernel_error(rec_win, pd, "0.4*cos(2*t)")
     assert abs(e1 - e4) < 0.5 * max(e1, e4) + 1e-3
@@ -200,7 +200,7 @@ def test_windowed_kernel_does_not_depend_on_the_window_width():
     # so the seams add no error of their own
     pd = twin_problem(nx=100, nt=200)
     f, _ = twin_measurement(pd, "0.4*cos(2*t)")
-    k_one = reconstruct(pd, f).kernel.k
+    k_one = reconstruct(pd, f, InverseOptions(window_steps=pd.grid.nt)).kernel.k
     rec_win = reconstruct(pd, f, InverseOptions(window_steps=50))
     assert len(rec_win.windows) == 4
     dt = pd.grid.dt
@@ -227,6 +227,64 @@ def test_window_stops_when_contraction_ends(monkeypatch):
     monkeypatch.setattr(inverse, "apply_map_A", counting_map)
     rec = reconstruct(pd, f, InverseOptions(window_steps=50))
     assert calls <= sum(w.iterations for w in rec.windows) + 2 * len(rec.windows)
+
+
+def _weakly_paired_problem():
+    # acceptance criterion 6's data: the full-horizon window cannot contract
+    pd = make_problem(nx=80, nt=160, phi=f"sin({PI}*x)^3",
+                      u0=f"sin({PI}*x)+0.01*sin({2 * np.pi}*x)", u1="0*x")
+    f, _ = twin_measurement(pd, "0.4*cos(2*t)")
+    return pd, f
+
+
+def test_adaptive_width_retries_early_and_says_why(monkeypatch):
+    """The probe abandons the oversized first attempt after its third map
+    call, and every later window stays within the solved span."""
+    import memkernel.inverse as inverse
+
+    pd, f = _weakly_paired_problem()
+    attempts = []  # (start, steps) of each map call's window
+    real_map = inverse.apply_map_A
+
+    def recording_map(state, win, *args, **kwargs):
+        attempts.append((win.start, win.steps))
+        return real_map(state, win, *args, **kwargs)
+
+    monkeypatch.setattr(inverse, "apply_map_A", recording_map)
+    rec = reconstruct(pd, f, InverseOptions(force=True))
+    first = rec.windows[0]
+    assert first.retries and first.retries[0] == "cost"
+    assert first.halvings == len(first.retries)
+    accepted = {(w.start, w.steps) for w in rec.windows}
+    cost_retries = sum(w.retries.count("cost") for w in rec.windows)
+    abandoned = [a for a in attempts if a not in accepted]
+    assert cost_retries >= 1 and len(abandoned) <= 3 * cost_retries
+    assert all(r in ("cost", "budget", "diverged") for w in rec.windows for r in w.retries)
+    assert all(w.contraction > 0 for w in rec.windows)
+    assert all(w.steps <= w.start for w in rec.windows[1:])
+
+
+def test_adaptive_layout_does_not_depend_on_the_initial_iterate():
+    # acceptance criterion 7's twin: the width choice must not sit on a tie
+    # that the Picard start could tip
+    pd = twin_problem(nx=60, nt=120)
+    f, _ = twin_measurement(pd, "0.4*cos(2*t)")
+    layouts = [
+        [(w.start, w.steps) for w in reconstruct(
+            pd, f, InverseOptions(tol=3e-9, initial_kprime=kp)).windows]
+        for kp in (0.0, 0.5)
+    ]
+    assert layouts[0] == layouts[1]
+
+
+def test_narrow_windows_on_a_fine_grid_reach_the_floor():
+    # with a floor relative to 1 + d_1 alone, the narrow windows' small first
+    # distances put the floor below roundoff, and this run stalled at node 275
+    pd = twin_problem(nx=400, nt=800)
+    f, _ = twin_measurement(pd, "0.4*cos(2*t)")
+    rec = reconstruct(pd, f, InverseOptions(window_steps=50))
+    assert [w.steps for w in rec.windows] == [50] * 16
+    assert rel_kernel_error(rec, pd, "0.4*cos(2*t)") <= 1e-3
 
 
 def test_final_window_never_leaves_a_one_step_tail():
