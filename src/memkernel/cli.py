@@ -65,7 +65,6 @@ class RunConfig:
     tol: float = 1e-10
     max_iter: int = 50
     window_steps: int | None = None
-    max_halvings: int = 6
     sign_variant: str = "plus"
     derivative_mode: str = "auto"
     smooth_sigma: float = 0.0
@@ -79,8 +78,8 @@ _SECTIONS = {
     "grid": ("nx", "nt"),
     "functions": ("u0", "u1", "phi", "k_true", "f"),
     "inverse": (
-        "tol", "max_iter", "window_steps", "max_halvings",
-        "sign_variant", "derivative_mode", "smooth_sigma",
+        "tol", "max_iter", "window_steps", "sign_variant",
+        "derivative_mode", "smooth_sigma",
     ),
     "noise": ("noise_sigma", "noise_seed"),
     "output": ("field_format",),
@@ -140,11 +139,11 @@ def _validate(cfg):
     if cfg.field_format not in ("long", "matrix"):
         raise ConfigError("field_format must be 'long' or 'matrix'")
     # InverseOptions sees only max(smooth_sigma, noise level), so a negative
-    # value would pass there unnoticed
-    if not cfg.smooth_sigma >= 0:
-        raise ConfigError("smooth_sigma must be non-negative")
-    if not cfg.noise_sigma >= 0:
-        raise ConfigError("[noise] sigma must be non-negative")
+    # or infinite value would pass there unnoticed
+    if not 0 <= cfg.smooth_sigma < np.inf:
+        raise ConfigError("smooth_sigma must be finite and non-negative")
+    if not 0 <= cfg.noise_sigma < np.inf:
+        raise ConfigError("[noise] sigma must be finite and non-negative")
     try:
         _problem(cfg)
         _inverse_options(cfg, force=False)
@@ -193,7 +192,6 @@ def _inverse_options(cfg, force, sigma_abs=0.0):
         tol=cfg.tol,
         max_iter=cfg.max_iter,
         window_steps=cfg.window_steps,
-        max_halvings=cfg.max_halvings,
         vt_sign=+1.0 if cfg.sign_variant == "plus" else -1.0,
         noise_sigma=max(cfg.smooth_sigma, sigma_abs),
         force=force,

@@ -39,7 +39,6 @@ solutions can exercise every part of the discrete system.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -48,7 +47,8 @@ import numpy as np
 
 from .errors import BoundaryIncompatible, NonFinite
 from .expressions import FuncExpr, differentiate, sample
-from .grids import DispersiveInverse, Grid, _sine_modes, quad_trapz, second_diff
+from .grids import (DispersiveInverse, Grid, _first_diff_ends, _sine_modes,
+                    quad_trapz, second_diff)
 
 __all__ = [
     "ProblemData",
@@ -167,18 +167,13 @@ def initial_acceleration_row(pd, k0, forcing_row=None, flux_forcing=None):
     return inv.solve(rhs, 0.0, right)
 
 
-def _ux_right(row, dx):
-    return (3.0 * row[-1] - 4.0 * row[-2] + row[-3]) / (2.0 * dx)
-
-
-def solve_direct(pd, kernel, forcing=None, flux_forcing=None,
-                 y0=None, yprime0=None):
+def solve_direct(pd, kernel, forcing=None, flux_forcing=None):
     """March the coupled field/oscillator system with a known kernel.
 
     ``kernel`` provides k sampled on the time nodes.  ``forcing`` (a field)
     and ``flux_forcing`` (a series) are manufactured-solution hooks; both
-    default to zero.  ``y0``/``yprime0`` override the data-derived initial
-    oscillator state (a warning is issued if they disagree with it).
+    default to zero.  The initial oscillator state is the one the data and
+    the boundary relations imply at t=0 (``_initial_oscillator``).
     """
     grid, prof = pd.grid, profiles(pd)
     nx, nt, dx, dt = grid.nx, grid.nt, grid.dx, grid.dt
@@ -191,16 +186,7 @@ def solve_direct(pd, kernel, forcing=None, flux_forcing=None,
     F = np.zeros((nt + 1, nx + 2)) if forcing is None else np.asarray(forcing, float)
     g1 = np.zeros(nt + 1) if flux_forcing is None else np.asarray(flux_forcing, float)
 
-    y0_d, yprime0_d, y2prime0 = _initial_oscillator(pd, prof, k[0], flux_forcing)
-    for given, derived, name in ((y0, y0_d, "y0"), (yprime0, yprime0_d, "yprime0")):
-        if given is not None and abs(given - derived) > 1e-8 * (1.0 + abs(derived)):
-            warnings.warn(
-                f"supplied {name}={given} conflicts with the value {derived} "
-                "implied by the boundary relations at t=0",
-                stacklevel=2,
-            )
-    y0 = y0_d if y0 is None else y0
-    yprime0 = yprime0_d if yprime0 is None else yprime0
+    y0, yprime0, y2prime0 = _initial_oscillator(pd, prof, k[0], flux_forcing)
 
     u = np.zeros((nt + 1, nx + 2))
     y = np.zeros(nt + 1)
@@ -220,7 +206,7 @@ def solve_direct(pd, kernel, forcing=None, flux_forcing=None,
     ux_r = np.zeros(nt + 1)
     for m in (0, 1):
         dxx[m] = second_diff(u[m], dx)
-        ux_r[m] = _ux_right(u[m], dx)
+        ux_r[m] = _first_diff_ends(u[m], dx)[1]
 
     x1_geom = dt**2 * (3.0 - 4.0 * abc[-2] + abc[-3]) / (2.0 * dx)
     for n in range(1, nt):
@@ -228,7 +214,7 @@ def solve_direct(pd, kernel, forcing=None, flux_forcing=None,
         wts = k[n::-1].copy()
         wts[0] *= 0.5
         wts[-1] *= 0.5
-        memory = dt * (wts @ dxx[: n + 1]) if n > 0 else np.zeros(nx + 2)
+        memory = dt * (wts @ dxx[: n + 1])
 
         rhs = dxx[n] - memory + F[n]
         ahom = inv.solve(rhs, 0.0, 0.0)
@@ -267,7 +253,7 @@ def solve_direct(pd, kernel, forcing=None, flux_forcing=None,
         ut_r = (3.0 * u[n + 1, -1] - 4.0 * u[n, -1] + u[n - 1, -1]) / (2.0 * dt)
         yp[n + 1] = (-ut_r - pd.q * y_new) / pd.p
         dxx[n + 1] = second_diff(u[n + 1], dx)
-        ux_r[n + 1] = _ux_right(u[n + 1], dx)
+        ux_r[n + 1] = _first_diff_ends(u[n + 1], dx)[1]
         if not (np.isfinite(u[n + 1, -1]) and np.isfinite(y_new)):
             raise NonFinite("direct marching", step=n + 1)
 

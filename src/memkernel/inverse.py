@@ -30,7 +30,8 @@ than its width.  The third map call of an attempt fits c; the attempt is
 abandoned for a window of half its width or less when that is predicted
 to cost fewer map calls per solved step, and each accepted window sizes
 the next one from its own fit.  An attempt that diverges or runs out of
-``max_iter`` is halved and retried.
+``max_iter`` is halved and retried, until half its width is below
+MIN_WINDOW_STEPS; as every retry at least halves it, retries are bounded.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class InverseOptions:
     tol: float = 1e-10
     max_iter: int = 50
     window_steps: int | None = None  # None: widths chosen for cost, starting at nt
-    max_halvings: int = 6
     vt_sign: float = +1.0  # sign of the velocity-projection term; see README
     noise_sigma: float = 0.0
     force: bool = False
@@ -91,14 +91,12 @@ class InverseOptions:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and positive")
         if self.window_steps is not None and self.window_steps < 1:
             raise ValueError("window_steps must be at least 1")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be non-negative")
-        if not self.noise_sigma >= 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and non-negative")
 
 
 @dataclass
@@ -292,22 +290,18 @@ def _predicted_calls(c, max_iter):
     return np.inf
 
 
-def _cheapest_width(kappa, widths, max_iter):
-    """The width of least predicted map-call cost per solved step, for a
-    profile constant c = kappa * width; the narrowest on a tie."""
+def _cheapest_width(kappa, ladder, cap, max_iter):
+    """Of ``cap`` and the ``ladder`` rungs below it, the width of least map-call
+    cost per solved step for c = kappa * width; the narrowest on a tie."""
     def cost(w):
         return _predicted_calls(kappa * w, max_iter) * (w + CALL_ROWS) / w
 
+    widths = [cap] + [w for w in ladder if w < cap]
     return min(widths, key=lambda w: (cost(w), w))
 
 
-def _widths_upto(ladder, cap):
-    """``cap`` and the rungs of ``ladder`` below it."""
-    return [cap] + [w for w in ladder if w < cap]
-
-
 def solve_window(win, setup, pd, tol=1e-10, max_iter=50, vt_sign=1.0,
-                 initial_kprime=0.0, widths=None):
+                 initial_kprime=0.0, ladder=()):
     """Iterate the map to its fixed point on one window.
 
     With scale = 1 + first-step distance, the window is accepted when the
@@ -321,9 +315,10 @@ def solve_window(win, setup, pd, tol=1e-10, max_iter=50, vt_sign=1.0,
     contraction record.  Raises ``NoConvergence`` if the iteration diverges
     or the budget runs out (the caller then halves the window).
 
-    ``widths``, when given, are the candidate widths of an adaptive window.
-    After the PROBE_CALL-th map call the fitted profile picks the cheapest;
-    if it is at most half this window, the attempt stops with ``_Narrow``.
+    After the PROBE_CALL-th map call the fitted profile picks the cheapest
+    of this window's width and the ``ladder`` rungs below it (none for a
+    fixed width); if that is at most half this window, the attempt stops
+    with ``_Narrow``.
     """
     grid_w = win.pd_w.grid
     state = _initial_state(win, setup, pd, initial_kprime)
@@ -342,8 +337,9 @@ def solve_window(win, setup, pd, tol=1e-10, max_iter=50, vt_sign=1.0,
                                 window=win.start, reason="diverged")
         if d <= tol * scale or (d <= floor and d > 0.5 * d_prev):
             return state, _trim_floor_wobble(distances)
-        if it == PROBE_CALL and widths is not None:
-            steps = _cheapest_width(_contraction(distances) / win.steps, widths, max_iter)
+        if it == PROBE_CALL:
+            steps = _cheapest_width(_contraction(distances) / win.steps, ladder,
+                                    win.steps, max_iter)
             if 2 * steps <= win.steps:
                 raise _Narrow(steps)
     ratio = distances[-1] / distances[-2] if len(distances) > 1 else np.inf
@@ -423,7 +419,7 @@ def reconstruct(pd, f, options=InverseOptions()):
     width = nt if adaptive else options.window_steps
     width = int(np.clip(width, MIN_WINDOW_STEPS, nt))
     ladder = []  # half-octave widths down from nt, an adaptive window's candidates
-    while (w := round(nt * 2.0 ** (-len(ladder) / 2))) >= MIN_WINDOW_STEPS:
+    while adaptive and (w := round(nt * 2.0 ** (-len(ladder) / 2))) >= MIN_WINDOW_STEPS:
         ladder.append(w)
     windows = []
     n0 = 0
@@ -435,27 +431,25 @@ def reconstruct(pd, f, options=InverseOptions()):
         retries = []
         while True:
             win = _window_data(pd, setup, n0, W, glob)
-            probe = adaptive and len(retries) < options.max_halvings
             try:
                 state, distances = solve_window(
                     win, setup, pd, tol=options.tol, max_iter=options.max_iter,
                     vt_sign=options.vt_sign, initial_kprime=options.initial_kprime,
-                    widths=_widths_upto(ladder, W) if probe else None,
+                    ladder=ladder,
                 )
                 break
             except _Narrow as exc:
                 W = exc.steps
                 retries.append("cost")
             except NoConvergence as exc:
-                if len(retries) >= options.max_halvings or W // 2 < MIN_WINDOW_STEPS:
+                if W // 2 < MIN_WINDOW_STEPS:
                     raise
                 W //= 2
                 retries.append(exc.reason)
         contraction = _contraction(distances)
         if adaptive:
             # W <= n0 keeps increment x increment off the window's rows
-            width = _cheapest_width(contraction / W, _widths_upto(ladder, n0 + W),
-                                    options.max_iter)
+            width = _cheapest_width(contraction / W, ladder, n0 + W, options.max_iter)
         else:
             width = W  # never grow back: keeps every window within the solved span
 

@@ -154,11 +154,9 @@ def integrate_prefix(rate, start, dt):
     return out + start
 
 
-def l2_time_norm(series, dt, upto=None):
-    """sqrt of the trapezoid integral of series^2 over [0, t_upto]."""
+def l2_time_norm(series, dt):
+    """sqrt of the trapezoid integral of series^2 over the sampled span."""
     s = np.asarray(series, dtype=float)
-    if upto is not None:
-        s = s[: upto + 1]
     sq = s * s
     return np.sqrt(dt * (sq.sum() - 0.5 * (sq[0] + sq[-1])))
 

@@ -98,12 +98,13 @@ def _assert_invert_exits_config(tmp_path, capsys, old, new):
 @pytest.mark.parametrize(
     "line",
     ["max_iter = 0", "derivative_mode = bogus", "derivative_mode = spline",
-     "window_policy = bondu", "window_policy = bound", "tol = -1",
+     "window_policy = bondu", "window_policy = bound", "tol = -1", "tol = inf",
      "max_halvings = -1", "window_steps = -3", "window_steps = 0",
-     "smooth_sigma = -0.01", "sigma = -0.01"],
+     "smooth_sigma = -0.01", "smooth_sigma = inf", "sigma = -0.01", "sigma = inf"],
 )
 def test_bad_inverse_option_exits_config(tmp_path, capsys, line):
-    # the [noise] level replaces its own line, [inverse] keys the tolerance
+    # the [noise] level replaces its own line, [inverse] keys the tolerance;
+    # retired keys (window_policy, max_halvings) are unknown keys
     old = "sigma = 0.001" if line.startswith("sigma") else "tol = 1e-9"
     _assert_invert_exits_config(tmp_path, capsys, old, line)
 
@@ -280,12 +281,13 @@ def test_timeseries_header_contract(tmp_path):
 
 
 def test_unrecoverable_window_exits_no_convergence(tmp_path):
-    # weakly paired sensor/data cannot contract at full width; with halving
-    # disabled the failure surfaces as the dedicated exit code
+    # weakly paired sensor/data cannot converge in two map calls at any
+    # width; once halving reaches the minimum width the failure surfaces as
+    # the dedicated exit code
     text = TWIN_CONFIG.replace(f"u0 = sin({2 * np.pi}*x)",
                                f"u0 = sin({PI}*x)+0.01*sin({2 * np.pi}*x)")
     text = text.replace("[inverse]\ntol = 1e-9",
-                        "[inverse]\ntol = 1e-9\nmax_halvings = 0\nwindow_steps = 120")
+                        "[inverse]\ntol = 1e-9\nmax_iter = 2\nwindow_steps = 120")
     text = text.replace("sigma = 0.001", "sigma = 0.0")
     cfgp = write_config(tmp_path, text, "stiff.ini")
     code = main(["invert", "--config", str(cfgp), "--out", str(tmp_path / "nc"),

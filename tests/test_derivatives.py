@@ -1,7 +1,15 @@
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import chebyshev
 
+from conftest import make_problem
 from memkernel.derivatives import derivative_stack, derivative_stack_from_expression
+from memkernel.direct import solve_direct
 from memkernel.expressions import parse
+from memkernel.timeconv import Kernel
+from verify import reference_derivative_stack
 
 
 def _clean_series(nt, T=1.0):
@@ -60,3 +68,47 @@ def test_noise_aware_fit_tames_measurement_noise():
 def test_zero_series_stays_zero():
     stack = derivative_stack(np.zeros(101), 0.01)
     assert np.allclose(stack, 0.0)
+
+
+# series shorter than a candidate degree warn alike on both paths
+@pytest.mark.filterwarnings("ignore:The fit may be poorly conditioned")
+@settings(max_examples=60, deadline=None)
+@example(n=3, kind="clean", seed=0)
+@example(n=1500, kind="target", seed=1)
+@example(n=1500, kind="noisy", seed=2)
+@given(
+    n=st.integers(3, 1500),
+    kind=st.sampled_from(["clean", "target", "noisy"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_degree_search_matches_fitting_every_degree(n, kind, seed):
+    # "target": clean samples fitted at a noise level; "noisy": samples
+    # carrying that noise
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, rng.uniform(0.5, 4.0), n)
+    amp, freq, phase = rng.uniform(-1.0, 1.0, (3, 3))
+    f = np.cos(np.outer(t, 3.0 * freq) + np.pi * phase) @ amp + 0.05 * amp[0] * t**3
+    sigma = 0.0 if kind == "clean" else 10.0 ** rng.uniform(-8, -2) * np.max(np.abs(f))
+    if kind == "noisy":
+        f = f + sigma * rng.standard_normal(n)
+    dt = t[1] - t[0]
+    stack = derivative_stack(f, dt, noise_sigma=sigma)
+    assert stack.tobytes() == reference_derivative_stack(f, dt, noise_sigma=sigma).tobytes()
+
+
+def test_degree_search_stops_once_a_degree_is_chosen(monkeypatch):
+    # the measurement of the long-horizon benchmark config (nx=100, nt=1200,
+    # its seed-0 kernel); fitting every even degree from 4 to 48 takes 23 fits
+    pi = np.pi
+    pd = make_problem(nx=100, nt=1200, u0=f"sin({2 * pi}*x)", u1="0*x",
+                      phi=f"sin({pi}*x)^3")
+    kern = Kernel.from_expression(parse("0.4689*cos(2.258*t)", "t"), pd.grid.t)
+    f = solve_direct(pd, kern).f
+    reference = reference_derivative_stack(f, pd.grid.dt)
+    degrees = []
+    fit = chebyshev.Chebyshev.fit
+    monkeypatch.setattr(chebyshev.Chebyshev, "fit",
+                        lambda t, y, deg: degrees.append(deg) or fit(t, y, deg))
+    stack = derivative_stack(f, pd.grid.dt)
+    assert len(degrees) <= 10, degrees
+    assert stack.tobytes() == reference.tobytes()

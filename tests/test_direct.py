@@ -71,12 +71,6 @@ def test_rejects_unclamped_initial_data():
         solve_direct(pd, Kernel.zero(pd.grid.nt, pd.grid.dt))
 
 
-def test_inconsistent_oscillator_override_warns():
-    pd = make_problem()
-    with pytest.warns(UserWarning, match="implied by the boundary relations"):
-        solve_direct(pd, Kernel.zero(pd.grid.nt, pd.grid.dt), y0=123.0)
-
-
 def test_manufactured_convergence_order():
     errs = []
     for nx, nt in ((50, 100), (100, 200), (200, 400)):

@@ -401,10 +401,10 @@ def test_norm_track_recorded():
 
 
 @pytest.mark.parametrize(
-    "bad", [{"max_halvings": -1}, {"window_steps": 0}, {"window_steps": -3},
-            {"noise_sigma": -0.01}],
+    "bad", [{"window_steps": 0}, {"window_steps": -3}, {"noise_sigma": -0.01},
+            {"tol": np.inf}, {"noise_sigma": np.inf}],
 )
 def test_inverse_options_reject_negative_values(bad):
     with pytest.raises(ValueError):
         InverseOptions(**bad)
-    InverseOptions(window_steps=None, max_halvings=0, noise_sigma=0.0)  # the edges are fine
+    InverseOptions(window_steps=None, noise_sigma=0.0)  # the edges are fine

@@ -10,12 +10,15 @@ the equivalence between the direct and the homogeneous problem,
 ``overdetermination_flux_form`` recomputes the measurement from discrete
 u_x, ``equivalent_residual`` is the pointwise residual of the homogeneous
 reformulation, ``reference_convolution_matrix`` is the dense oracle of the
-library's trapezoid convolution, and ``reference_solution_norm`` is the
-iteration metric built from the full difference fields.
+library's trapezoid convolution, ``reference_solution_norm`` is the
+iteration metric built from the full difference fields, and
+``reference_derivative_stack`` is the derivative fit that fits every
+candidate degree before it picks one.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial import chebyshev
 
 from memkernel.direct import profiles, solve_linear_dirichlet
 from memkernel.energy import solution_norm
@@ -120,6 +123,37 @@ def reference_solution_norm(v, grid):
         total += l2_time_norm(reference_spatial_h2_norm(layer, grid.dx), grid.dt)
         layer = time_derivative(layer, grid.dt)
     return float(total)
+
+
+def reference_derivative_stack(values, dt, *, noise_sigma=0.0):
+    """``memkernel.derivatives.derivative_stack`` that fits all even degrees
+    from 4 to the cap first and then applies the same degree rule."""
+    f = np.asarray(values, dtype=float)
+    n = f.shape[0]
+    t = np.arange(n) * dt
+    cap = min(max(12, n // 4), 48)
+    scale = np.max(np.abs(f))
+    if scale == 0.0:
+        return np.zeros((5, n))
+    target = max(1.05 * noise_sigma, 1e-9 * scale)
+    fits, resids = [], []
+    for deg in range(4, cap + 1, 2):
+        fit = chebyshev.Chebyshev.fit(t, f, deg)
+        fits.append(fit)
+        resids.append(np.sqrt(np.mean((fit(t) - f) ** 2)))
+    fit = fits[-1]
+    for i in range(len(fits) - 1):
+        tight = resids[i] <= target
+        plateau = resids[i] < 10.0 * max(resids[i + 1], 1e-300)
+        if tight and plateau:
+            fit = fits[i]
+            break
+    out = np.empty((5, n))
+    out[0] = f
+    for m in range(1, 5):
+        fit = fit.deriv(1)
+        out[m] = fit(t)
+    return out
 
 
 def check_zero_start(w, dt):
