@@ -25,16 +25,18 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .direct import ProblemData, solve_direct
+from .direct import ProblemData, _check_clamped, solve_direct
 from .energy import energy_series
 from .equivalence import build_setup, check_compatibility
 from .errors import (
+    BoundaryIncompatible,
     CompatibilityFailed,
     ConfigError,
+    EvaluationError,
     MemKernelError,
     NoConvergence,
 )
-from .expressions import parse, to_text
+from .expressions import parse, sample, to_text
 from .grids import Grid
 from .inverse import InverseOptions, reconstruct
 from .rng import PortableRng
@@ -128,7 +130,8 @@ def _validate(cfg):
     """Reject a bad config once, by building what the commands build.
 
     ``Grid``, ``ProblemData``, the expression parser and ``InverseOptions``
-    each check their own inputs and raise ``ValueError``.
+    each check their own inputs and raise ``ValueError``; u0, u1 and phi are
+    then sampled on the grid, where the clamp rule of the solvers applies.
     """
     if cfg.sign_variant not in ("plus", "minus"):
         raise ConfigError("sign_variant must be 'plus' or 'minus'")
@@ -145,13 +148,21 @@ def _validate(cfg):
     if not 0 <= cfg.noise_sigma < np.inf:
         raise ConfigError("[noise] sigma must be finite and non-negative")
     try:
-        _problem(cfg)
+        pd = _problem(cfg)
         _inverse_options(cfg, force=False)
         for key in ("k_true", "f"):
             if getattr(cfg, key) is not None:
                 _parse_key(cfg, key, "t")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # the data must evaluate on the space nodes, and u0 meet the clamp
+    for key in ("u0", "u1", "phi"):
+        try:
+            row = sample(getattr(pd, key), pd.grid.x)
+            if key == "u0":
+                _check_clamped(row)
+        except (EvaluationError, BoundaryIncompatible) as exc:
+            raise ConfigError(f"{key} on the grid: {exc}") from exc
 
 
 def _parse_key(cfg, key, var):

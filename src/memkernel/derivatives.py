@@ -46,16 +46,18 @@ def derivative_stack(values, dt, *, noise_sigma=0.0):
     # (b) sits at the onset of the residual plateau, under ten times the
     # next degree's residual; beyond it extra degrees only chase roundoff or
     # noise.  Degrees are fitted in order until one qualifies, else the last.
+    # No degree exceeds n - 1, the interpolant, which is all a series of
+    # fewer than five samples gets.
     f = np.asarray(values, dtype=float)
     n = f.shape[0]
     t = np.arange(n) * dt
-    cap = min(max(12, n // 4), 48)
+    cap = min(max(12, n // 4), 48, n - 1)
     scale = np.max(np.abs(f))
     if scale == 0.0:
         return np.zeros((5, n))
     target = max(1.05 * noise_sigma, 1e-9 * scale)
     fit, resid = None, np.inf
-    for deg in range(4, cap + 1, 2):
+    for deg in range(4, cap + 1, 2) if n >= 5 else [n - 1]:
         nxt = chebyshev.Chebyshev.fit(t, f, deg)
         nxt_resid = np.sqrt(np.mean((nxt(t) - f) ** 2))
         if resid <= target and resid < 10.0 * max(nxt_resid, 1e-300):

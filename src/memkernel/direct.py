@@ -135,6 +135,13 @@ class DirectSolution:
     f: np.ndarray
 
 
+def _check_clamped(u0row):
+    """Raise ``BoundaryIncompatible`` unless the sampled u0 vanishes at the
+    clamped end x=0, to a tolerance relative to the row's size."""
+    if abs(u0row[0]) > 1e-10 * (1.0 + np.max(np.abs(u0row))):
+        raise BoundaryIncompatible("u0(0) != 0 violates the clamped condition")
+
+
 def _initial_oscillator(pd, prof, k0, flux_forcing=None):
     """(y(0), y'(0), y''(0)) implied by the data and the boundary relations.
 
@@ -180,8 +187,7 @@ def solve_direct(pd, kernel, forcing=None, flux_forcing=None):
     k = np.asarray(kernel.k, dtype=float)
     if k.shape[0] != nt + 1:
         raise ValueError("kernel is not sampled on the grid's time nodes")
-    if abs(prof.u0[0]) > 1e-10 * (1.0 + np.max(np.abs(prof.u0))):
-        raise BoundaryIncompatible("u0(0) != 0 violates the clamped condition")
+    _check_clamped(prof.u0)
 
     F = np.zeros((nt + 1, nx + 2)) if forcing is None else np.asarray(forcing, float)
     g1 = np.zeros(nt + 1) if flux_forcing is None else np.asarray(flux_forcing, float)

@@ -29,8 +29,8 @@ import numpy as np
 
 from .csvio import _fmt
 from .derivatives import derivative_stack, derivative_stack_from_expression
-from .direct import _initial_oscillator, profile_exprs, profiles
-from .errors import AlphaDegenerate, BoundaryIncompatible, PsiDegenerate
+from .direct import _check_clamped, _initial_oscillator, profile_exprs, profiles
+from .errors import AlphaDegenerate, PsiDegenerate
 from .expressions import FuncExpr
 from .grids import DispersiveInverse, quad_trapz
 
@@ -128,8 +128,7 @@ def build_setup(pd, f, *, noise_sigma=0.0):
     grid, prof = pd.grid, profiles(pd)
     dx, x, ell = grid.dx, grid.x, pd.ell
 
-    if abs(prof.u0[0]) > 1e-10 * (1.0 + np.max(np.abs(prof.u0))):
-        raise BoundaryIncompatible("u0(0) != 0 violates the clamped condition")
+    _check_clamped(prof.u0)
 
     stack, symbolic = _f_stack(pd, f, noise_sigma)
     d = profile_exprs(pd)

@@ -78,11 +78,19 @@ def second_diff(row, dx):
     return out
 
 
+def _by_node(a):
+    """``a`` indexed by the node along its last axis: ``_by_node(a)[j]`` is
+    ``a[..., j]``.  On a 1-D row the entries are scalars, which compute
+    several times faster than the 0-d arrays that ``a[..., j]`` gives."""
+    return a.T if a.ndim <= 2 else np.moveaxis(a, -1, 0)
+
+
 def _second_diff_ends(row, dx):
     """One-sided second differences at the first and last node."""
+    r = _by_node(row)
     return (
-        (2 * row[..., 0] - 5 * row[..., 1] + 4 * row[..., 2] - row[..., 3]) / dx**2,
-        (2 * row[..., -1] - 5 * row[..., -2] + 4 * row[..., -3] - row[..., -4]) / dx**2,
+        (2 * r[0] - 5 * r[1] + 4 * r[2] - r[3]) / dx**2,
+        (2 * r[-1] - 5 * r[-2] + 4 * r[-3] - r[-4]) / dx**2,
     )
 
 
@@ -97,9 +105,10 @@ def first_diff(row, dx):
 
 def _first_diff_ends(row, dx):
     """One-sided first differences at the first and last node."""
+    r = _by_node(row)
     return (
-        (-3 * row[..., 0] + 4 * row[..., 1] - row[..., 2]) / (2.0 * dx),
-        (3 * row[..., -1] - 4 * row[..., -2] + row[..., -3]) / (2.0 * dx),
+        (-3 * r[0] + 4 * r[1] - r[2]) / (2.0 * dx),
+        (3 * r[-1] - 4 * r[-2] + r[-3]) / (2.0 * dx),
     )
 
 

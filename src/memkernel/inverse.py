@@ -21,7 +21,10 @@ terms are rows n0..n0+W of the global trapezoid convolutions.
 Each series splits into its solved history (zero past the seam node n0)
 and the window's increment (zero at the seam).  The history x history part
 is computed once per window; each Picard step convolves the increments
-with the other series' history.
+with the other series' history.  The solved span keeps v, k', y''' and the
+two sensor series of v; k, y'' and v_xx are derived where they are read.
+The map takes its sensor rates as time derivatives of those series, so it
+forms no time derivative of a field.
 
 Without a fixed ``window_steps`` the widths are chosen for cost.  On this
 Volterra system the Picard distances follow d_n = d_(n-1) c / n, with c
@@ -44,22 +47,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .direct import solve_linear_dirichlet, profiles
 from .energy import solution_norm
-from .equivalence import (
-    EquivSetup,
-    build_setup,
-    check_compatibility,
-    sensor_functional,
-)
+from .equivalence import EquivSetup, build_setup, check_compatibility, sensor_functional
 from .errors import CompatibilityFailed, NoConvergence, NonFinite
 from .grids import quad_trapz, second_diff
-from .timeconv import (
-    Kernel,
-    conv,
-    conv_field,
-    integrate_prefix,
-    l2_time_norm,
-    time_derivative,
-)
+from .timeconv import (Kernel, conv, conv_field, integrate_prefix, l2_time_norm,
+                       time_derivative)
 
 __all__ = [
     "InverseOptions",
@@ -158,17 +150,15 @@ class Reconstruction:
     setup: EquivSetup
 
 
-def _state_norm(state, grid_w):
-    """Size of one iterate in the iteration metric."""
-    return solution_norm(state.v, grid_w) + l2_time_norm(state.kprime, grid_w.dt)
+def _state_norm(v, kprime, grid_w):
+    """Iteration metric: the field in the H2-in-time surrogate plus the L2
+    time norm of the kernel rate."""
+    return solution_norm(v, grid_w) + l2_time_norm(kprime, grid_w.dt)
 
 
 def state_distance(s1, s2, grid_w):
-    """Iteration metric: field difference in the H2-in-time surrogate plus
-    the L2 time norm of the kernel-rate difference."""
-    dv = solution_norm(s1.v - s2.v, grid_w)
-    dk = l2_time_norm(s1.kprime - s2.kprime, grid_w.dt)
-    return dv + dk
+    """Iteration metric of the difference of two iterates."""
+    return _state_norm(s1.v - s2.v, s1.kprime - s2.kprime, grid_w)
 
 
 def _window_memory(conv_fn, a_w, b_w, a, b, head, tails, dt):
@@ -187,6 +177,13 @@ def _window_memory(conv_fn, a_w, b_w, a, b, head, tails, dt):
     return conv_fn(da, head[b], dt) + conv_fn(head[a], db, dt) + tails[b]
 
 
+def _sensor_series(v, setup, prof, dx):
+    """A field's v_xx, its phi''' projection and the part of the boundary
+    functional G that is linear in v (G less f'/psi(ell))."""
+    vxx = second_diff(v, dx)
+    return vxx, quad_trapz(v * prof.phippp, dx), sensor_functional(setup, 0.0, vxx, dx)
+
+
 def apply_map_A(state, win, setup, pd, vt_sign=1.0):
     """One application of the fixed-point map on a window."""
     grid_w = win.pd_w.grid
@@ -194,12 +191,8 @@ def apply_map_A(state, win, setup, pd, vt_sign=1.0):
     prof = profiles(pd)
 
     v, kp_old = state.v, state.kprime
-    vxx = second_diff(v, dx)
-
-    # v_t and vxx_t are not kept: fewer fields alive while conv_field holds
-    # its n x n matrix lowers the peak memory of the iteration
-    proj_v = quad_trapz(v * prof.phippp, dx)
-    proj_vt = quad_trapz(time_derivative(v, dt) * prof.phippp, dx)
+    vxx, proj_v, g_lin = _sensor_series(v, setup, prof, dx)
+    proj_vt = time_derivative(proj_v, dt)
 
     hist = (win.head, win.tails, dt)  # the solved span, None on the first window
     mem_proj = _window_memory(conv, kp_old, proj_v, "kp", "proj", *hist)
@@ -208,8 +201,8 @@ def apply_map_A(state, win, setup, pd, vt_sign=1.0):
     )
     k_new = integrate_prefix(kp_new, win.k_seam, dt)
 
-    g_of_v = sensor_functional(setup, win.f[1], vxx, dx)
-    gp_of_v = sensor_functional(setup, win.f[2], time_derivative(vxx, dt), dx)
+    g_of_v = win.f[1] / setup.psi_ell + g_lin
+    gp_of_v = win.f[2] / setup.psi_ell + time_derivative(g_lin, dt)
     mem_g = _window_memory(conv, kp_old, g_of_v, "kp", "gfun", *hist)
     y3 = gp_of_v - kp_new * setup.ghat_u0 - setup.k0 * g_of_v - mem_g
     y2 = integrate_prefix(y3, win.y2_seam, dt)
@@ -226,7 +219,6 @@ def apply_map_A(state, win, setup, pd, vt_sign=1.0):
 
 def _initial_state(win, setup, pd, kprime0=0.0):
     """Picard seed: constant kernel at the seam value, flat kernel rate."""
-    grid_w = win.pd_w.grid
     prof = profiles(pd)
     W = win.steps
     kp = np.full(W + 1, kprime0)
@@ -331,7 +323,7 @@ def solve_window(win, setup, pd, tol=1e-10, max_iter=50, vt_sign=1.0,
         state = new
         if it == 1:
             scale = 1.0 + d
-            floor = FLOOR_TOL * max(scale, _state_norm(new, grid_w))
+            floor = FLOOR_TOL * max(scale, _state_norm(new.v, new.kprime, grid_w))
         if not np.isfinite(d) or d > 1e4 * scale:
             raise NoConvergence(it, d / d_prev if it > 1 else np.inf,
                                 window=win.start, reason="diverged")
@@ -346,18 +338,21 @@ def solve_window(win, setup, pd, tol=1e-10, max_iter=50, vt_sign=1.0,
     raise NoConvergence(max_iter, ratio, window=win.start)
 
 
-def _solved_history(glob, n0, W, dt):
-    """What a window of W <= n0 steps at n0 > 0 needs of the solved span.
+def _solved_history(glob, k, n0, W, dt, dx):
+    """What a window of W <= n0 steps at n0 > 0 needs of the solved span,
+    given the kernel ``k`` over nodes 0..n0.
 
-    ``head``: read-only views of the global series over nodes 0..W.
-    ``tails``: rows n0..n0+W of the global convolution of each kernel's
-    history (zero past n0) with the series' history, keyed by the series:
-    ``proj`` and ``gfun`` against ``kp``, ``vxx`` against ``k``.  Only the
-    (W+1) x (n0+1) block of the convolution matrix that these rows read is
-    built for the field; row i of it is dt*k[n0-m+i] over columns m >= i,
-    with the two endpoint weights of row 0 halved.
+    ``head``: the series over nodes 0..W, read-only; ``vxx`` is v's
+    ``second_diff``.  ``tails``: rows n0..n0+W of the global convolution of
+    each kernel's history (zero past n0) with the series' history, keyed by
+    the series: ``proj`` and ``gfun`` against ``kp``, ``vxx`` against ``k``.
+    Time convolution and spatial stencil act on different axes, so the
+    ``vxx`` tail is the ``second_diff`` of v's.  For it only the (W+1) x
+    (n0+1) block of the convolution matrix that these rows read is built:
+    row i is dt*k[n0-m+i] over columns m >= i, row 0's end weights halved.
     """
-    head = {name: arr[: W + 1] for name, arr in glob.items()}
+    head = {name: glob[name][: W + 1] for name in ("kp", "proj", "gfun")}
+    head.update(k=k[: W + 1], vxx=second_diff(glob["v"][: W + 1], dx))
     for view in head.values():
         view.flags.writeable = False
     hist = slice(0, n0 + 1)
@@ -366,16 +361,17 @@ def _solved_history(glob, n0, W, dt):
         kp, series = np.zeros(n0 + W + 1), np.zeros(n0 + W + 1)
         kp[hist], series[hist] = glob["kp"][hist], glob[name][hist]
         tails[name] = conv(kp, series, dt)[n0:]
-    lags = np.concatenate((np.zeros(W), dt * glob["k"][n0::-1]))
+    lags = np.concatenate((np.zeros(W), dt * k[n0::-1]))
     block = sliding_window_view(lags, n0 + 1)[::-1].copy()
     block[0, [0, n0]] *= 0.5
-    tails["vxx"] = block @ glob["vxx"][hist]
+    tails["vxx"] = second_diff(block @ glob["v"][hist], dx)
     return head, tails
 
 
 def _window_data(pd, setup, n0, W, glob=None):
     """Inputs of the window of W steps at node n0, reading its seams and the
-    solved history from the global arrays ``glob`` (unused when n0 == 0)."""
+    solved history from the solved span ``glob`` (unused when n0 == 0); the
+    seam values of k and y'' integrate its k' and y''' over nodes 0..n0."""
     grid = pd.grid
     dt = grid.dt
     pd_w = replace(pd, T=W * dt, grid=grid.time_window(W))
@@ -386,11 +382,14 @@ def _window_data(pd, setup, n0, W, glob=None):
             y2_seam=setup.y2prime0, u_tau=setup.v0row, u_before=None,
             f=fslice,
         )
+    hist = slice(0, n0 + 1)
+    k = integrate_prefix(glob["kp"][hist], setup.k0, dt)
+    y2 = integrate_prefix(glob["y3"][hist], setup.y2prime0, dt)
+    head, tails = _solved_history(glob, k, n0, W, dt, grid.dx)
     v = glob["v"]
-    head, tails = _solved_history(glob, n0, W, dt)
     return WindowData(
-        pd_w=pd_w, start=n0, steps=W, k_seam=float(glob["k"][n0]),
-        y2_seam=float(glob["y2"][n0]), u_tau=v[n0], u_before=v[n0 - 1],
+        pd_w=pd_w, start=n0, steps=W, k_seam=float(k[n0]),
+        y2_seam=float(y2[n0]), u_tau=v[n0], u_before=v[n0 - 1],
         f=fslice, head=head, tails=tails,
     )
 
@@ -399,7 +398,7 @@ def reconstruct(pd, f, options=InverseOptions()):
     """Recover the kernel (and the field/oscillator) from the measurement.
 
     Marches windows across [0, T]; each window is solved by Picard
-    iteration and writes its rows into the global arrays, from which the
+    iteration and writes its rows into the solved span, from which the
     following windows read their seams and solved history.
     """
     setup = build_setup(pd, f, noise_sigma=options.noise_sigma)
@@ -411,8 +410,8 @@ def reconstruct(pd, f, options=InverseOptions()):
     nt, nx, dt, dx = grid.nt, grid.nx, grid.dt, grid.dx
     prof = profiles(pd)
 
-    glob = {name: np.zeros(nt + 1) for name in ("k", "kp", "y2", "y3", "proj", "gfun")}
-    glob.update(v=np.zeros((nt + 1, nx + 2)), vxx=np.zeros((nt + 1, nx + 2)))
+    glob = {name: np.zeros(nt + 1) for name in ("kp", "y3", "proj", "gfun")}
+    glob["v"] = np.zeros((nt + 1, nx + 2))
 
     # an adaptive march starts at the full horizon
     adaptive = options.window_steps is None
@@ -457,18 +456,14 @@ def reconstruct(pd, f, options=InverseOptions()):
         new = slice(0 if n0 == 0 else 1, W + 1)
         rows = slice(n0 + new.start, n0 + W + 1)
         v = state.v[new]
-        vxx = second_diff(v, dx)
+        _, proj, g_lin = _sensor_series(v, setup, prof, dx)
         glob["v"][rows] = v
-        glob["vxx"][rows] = vxx
-        glob["proj"][rows] = quad_trapz(v * prof.phippp, dx)
-        glob["gfun"][rows] = sensor_functional(setup, win.f[1][new], vxx, dx)
+        glob["proj"][rows] = proj
+        glob["gfun"][rows] = win.f[1][new] / setup.psi_ell + g_lin
         glob["kp"][rows] = state.kprime[new]
         glob["y3"][rows] = state.yccc[new]
-        solved = slice(0, n0 + W + 1)
-        glob["k"][solved] = integrate_prefix(glob["kp"][solved], setup.k0, dt)
-        glob["y2"][solved] = integrate_prefix(glob["y3"][solved], setup.y2prime0, dt)
 
-        track = _state_norm(state, win.pd_w.grid)
+        track = _state_norm(state.v, state.kprime, win.pd_w.grid)
         if prev_track is not None and track > NORM_TRACK_BOUND * prev_track:
             warnings.warn(
                 f"window norm grew from {prev_track:.3g} to {track:.3g}, "
@@ -487,9 +482,10 @@ def reconstruct(pd, f, options=InverseOptions()):
         n0 += W
 
     kernel = Kernel.from_kprime(glob["kp"], setup.k0, dt)
-    yprime = integrate_prefix(glob["y2"], setup.yprime0, dt)
+    y2 = integrate_prefix(glob["y3"], setup.y2prime0, dt)
+    yprime = integrate_prefix(y2, setup.yprime0, dt)
     y = integrate_prefix(yprime, setup.y0, dt)
     return Reconstruction(
-        kernel=kernel, v=glob["v"], y=y, yprime=yprime, y2=glob["y2"],
+        kernel=kernel, v=glob["v"], y=y, yprime=yprime, y2=y2,
         y3=glob["y3"], windows=windows, report=report, setup=setup,
     )

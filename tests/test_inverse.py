@@ -1,14 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_problem
-from memkernel.direct import solve_direct
+from memkernel.direct import profiles, solve_direct
 from memkernel.energy import solution_norm
-from memkernel.equivalence import build_setup
+from memkernel.equivalence import build_setup, sensor_functional
 from memkernel.errors import CompatibilityFailed, NoConvergence
 from memkernel.expressions import parse
+from memkernel.grids import quad_trapz, second_diff
 from memkernel.inverse import (
     InverseOptions,
     IterState,
@@ -21,7 +24,7 @@ from memkernel.inverse import (
     _window_memory,
 )
 from memkernel.timeconv import Kernel, conv, conv_field, convolution_matrix, l2_time_norm
-from verify import transform_to_v
+from verify import reference_sensor_rates, transform_to_v
 
 PI = repr(np.pi)
 TWIN_KW = dict(phi=f"sin({PI}*x)^3", u0=f"sin({2 * np.pi}*x)", u1="0*x")
@@ -51,24 +54,70 @@ def rel_kernel_error(rec, pd, kexpr):
 def test_window_memory_is_a_slice_of_the_global_convolution(W, extra, width, seed):
     # random series and fields on the whole span; the window at n0 >= W
     # sees nodes 0..n0 as solved history and its own nodes n0..n0+W as
-    # iterates, and must reproduce rows n0..n0+W of the global conv and
-    # conv_field.  The split sums round differently from the global ones,
-    # so the bound is relative to |M| @ |g|, M the convolution matrix.
+    # iterates, and must reproduce rows n0..n0+W of the global conv and of
+    # conv_field(k, second_diff(v)).  The split sums round differently from
+    # the global ones, so the bound is relative to |M| @ |g|, M the
+    # convolution matrix.
     rng = np.random.default_rng(seed)
     n0 = W + extra
     n = n0 + W + 1
-    dt = rng.uniform(1e-3, 1.0)
-    glob = {name: rng.standard_normal(n) for name in ("k", "kp", "proj", "gfun")}
-    glob["vxx"] = rng.standard_normal((n, width))
-    head, tails = _solved_history(glob, n0, W, dt)
+    dt, dx = rng.uniform(1e-3, 1.0, 2)
+    glob = {name: rng.standard_normal(n) for name in ("kp", "proj", "gfun")}
+    glob["v"] = rng.standard_normal((n, width + 3))  # second_diff needs 4 nodes
+    k = rng.standard_normal(n)
+    head, tails = _solved_history(glob, k[: n0 + 1], n0, W, dt, dx)
+    series = dict(glob, k=k, vxx=second_diff(glob["v"], dx))
     rows = slice(n0, n)
     for conv_fn, a, b in ((conv, "kp", "proj"), (conv, "kp", "gfun"),
                           (conv_field, "k", "vxx")):
-        mem = _window_memory(conv_fn, glob[a][rows], glob[b][rows], a, b, head, tails, dt)
-        ref = conv_fn(glob[a], glob[b], dt)[rows]
-        scale = np.max((np.abs(convolution_matrix(glob[a], dt)) @ np.abs(glob[b]))[rows])
+        mem = _window_memory(conv_fn, series[a][rows], series[b][rows], a, b,
+                             head, tails, dt)
+        ref = conv_fn(series[a], series[b], dt)[rows]
+        scale = np.max((np.abs(convolution_matrix(series[a], dt))
+                        @ np.abs(series[b]))[rows])
         assert mem.shape == ref.shape
         assert np.max(np.abs(mem - ref)) <= 1e-13 * scale
+
+
+@functools.lru_cache(maxsize=1)
+def _rates_case():
+    pd = twin_problem(nx=40, nt=80)
+    return pd, build_setup(pd, twin_measurement(pd, "0.4*cos(2*t)")[0])
+
+
+@settings(max_examples=40, deadline=None)
+@example(rows=3, seed=0)
+@given(rows=st.integers(3, 60), seed=st.integers(0, 2**32 - 1))
+def test_map_rates_on_series_match_the_field_rates(rows, seed):
+    # with a zero kernel-rate iterate the first window has no memory terms,
+    # so the map's k' and y''' carry its sensor rates, which it takes as
+    # time derivatives of series; the reference takes them on v_t and v_xxt.
+    # Each output is a sum of stencil terms of v and the data; the bound is
+    # 1e-12 of the largest sum of their absolute values
+    pd, setup = _rates_case()
+    prof = profiles(pd)
+    dt, dx = pd.grid.dt, pd.grid.dx
+    win = _window_data(pd, setup, 0, rows - 1)
+    v = np.random.default_rng(seed).standard_normal((rows, pd.grid.nx + 2))
+    zero = np.zeros(rows)
+    out = apply_map_A(IterState(v=v, kprime=zero, yccc=zero), win, setup, pd)
+
+    proj_vt, gp = reference_sensor_rates(setup, prof, win.f[2], v, dt, dx)
+    proj_v = quad_trapz(v * prof.phippp, dx)
+    g = sensor_functional(setup, win.f[1], second_diff(v, dx), dx)
+    kp = setup.alpha * (win.f[4] + proj_vt - setup.k0 * proj_v)
+    y3 = gp - out.kprime * setup.ghat_u0 - setup.k0 * g
+
+    # time_derivative's absolute stencil terms sum to at most 8/(2 dt) times
+    # the largest entry, second_diff's to 12/dx^2 times it
+    vmax, f = np.max(np.abs(v)), np.max(np.abs(win.f), axis=1)
+    abs_proj = vmax * quad_trapz(np.abs(prof.phippp), dx)
+    abs_g = 12 / dx**2 * vmax * quad_trapz(np.abs(setup.psi_row), dx)
+    kp_scale = abs(setup.alpha) * (f[4] + 4 / dt * abs_proj + abs(setup.k0) * abs_proj)
+    y3_scale = ((f[2] + 4 / dt * abs_g + abs(setup.k0) * (f[1] + abs_g)) / abs(setup.psi_ell)
+                + np.max(np.abs(out.kprime * setup.ghat_u0)))
+    assert np.max(np.abs(out.kprime - kp)) <= 1e-12 * kp_scale
+    assert np.max(np.abs(out.yccc - y3)) <= 1e-12 * y3_scale
 
 
 def test_map_zero_data_returns_zero_state():

@@ -11,9 +11,10 @@ the equivalence between the direct and the homogeneous problem,
 u_x, ``equivalent_residual`` is the pointwise residual of the homogeneous
 reformulation, ``reference_convolution_matrix`` is the dense oracle of the
 library's trapezoid convolution, ``reference_solution_norm`` is the
-iteration metric built from the full difference fields, and
+iteration metric built from the full difference fields,
 ``reference_derivative_stack`` is the derivative fit that fits every
-candidate degree before it picks one.
+candidate degree before it picks one, and ``reference_sensor_rates`` takes
+the fixed-point map's two sensor rates on the fields v_t and v_xxt.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from numpy.polynomial import chebyshev
 
 from memkernel.direct import profiles, solve_linear_dirichlet
 from memkernel.energy import solution_norm
+from memkernel.equivalence import sensor_functional
 from memkernel.grids import first_diff, quad_trapz, second_diff, spatial_h2_norm
 from memkernel.timeconv import (
     Kernel,
@@ -127,17 +129,18 @@ def reference_solution_norm(v, grid):
 
 def reference_derivative_stack(values, dt, *, noise_sigma=0.0):
     """``memkernel.derivatives.derivative_stack`` that fits all even degrees
-    from 4 to the cap first and then applies the same degree rule."""
+    from 4 to the cap (at most n - 1; only the interpolant of degree n - 1
+    below 5 samples) first and then applies the same degree rule."""
     f = np.asarray(values, dtype=float)
     n = f.shape[0]
     t = np.arange(n) * dt
-    cap = min(max(12, n // 4), 48)
+    cap = min(max(12, n // 4), 48, n - 1)
     scale = np.max(np.abs(f))
     if scale == 0.0:
         return np.zeros((5, n))
     target = max(1.05 * noise_sigma, 1e-9 * scale)
     fits, resids = [], []
-    for deg in range(4, cap + 1, 2):
+    for deg in range(4, cap + 1, 2) if n >= 5 else [n - 1]:
         fit = chebyshev.Chebyshev.fit(t, f, deg)
         fits.append(fit)
         resids.append(np.sqrt(np.mean((fit(t) - f) ** 2)))
@@ -154,6 +157,15 @@ def reference_derivative_stack(values, dt, *, noise_sigma=0.0):
         fit = fit.deriv(1)
         out[m] = fit(t)
     return out
+
+
+def reference_sensor_rates(setup, prof, f2, v, dt, dx):
+    """The sensor rates of the kernel-rate and boundary equations taken on
+    the fields: the phi''' projection of v_t, and the sensor functional
+    of v_xxt at the measurement values ``f2`` = f''."""
+    vxxt = time_derivative(second_diff(v, dx), dt)
+    return (quad_trapz(time_derivative(v, dt) * prof.phippp, dx),
+            sensor_functional(setup, f2, vxxt, dx))
 
 
 def check_zero_start(w, dt):
