@@ -18,7 +18,7 @@ acceleration at the right end and the new oscillator value are obtained
 together from a 2x2 linear system combining the flux balance (one-sided
 second-order u_x, trapezoid memory) with the trapezoid-integrated velocity
 law.  The second time level comes from a Taylor start using the exact
-initial acceleration.
+initial acceleration of ``initial_acceleration``, which ``build_setup`` shares.
 
 The acceleration solve is ``DispersiveInverse``, which inverts
 (I - beta D_xx) in the same sine basis as the Dirichlet march below.
@@ -142,32 +142,28 @@ def _check_clamped(u0row):
         raise BoundaryIncompatible("u0(0) != 0 violates the clamped condition")
 
 
-def _initial_oscillator(pd, prof, k0, flux_forcing=None):
+def _initial_oscillator(pd, prof, k0, g=None):
     """(y(0), y'(0), y''(0)) implied by the data and the boundary relations.
 
-    y'(0) comes from the flux balance at t=0, y(0) from the velocity law at
-    t=0, and y''(0) from the time derivative of the flux balance.
+    y'(0) comes from the flux balance at t=0 (less its forcing ``g``), y(0)
+    from the velocity law at t=0, and y''(0) from the flux balance's rate.
     """
-    dt = pd.grid.dt
     yprime0 = prof.u0p[-1]
-    y0 = -(prof.u1[-1] + pd.p * prof.u0p[-1]) / pd.q
-    y2prime0 = prof.u1p[-1] - k0 * prof.u0p[-1]
-    if flux_forcing is not None:
-        g = np.asarray(flux_forcing, dtype=float)
+    y2prime0 = prof.u1p[-1] - k0 * yprime0
+    if g is not None:
         yprime0 -= g[0]
-        y0 = -(prof.u1[-1] + pd.p * yprime0) / pd.q
-        y2prime0 -= (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * dt)
+        y2prime0 -= (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * pd.grid.dt)
+    y0 = -(prof.u1[-1] + pd.p * yprime0) / pd.q
     return y0, yprime0, y2prime0
 
 
-def initial_acceleration_row(pd, k0, forcing_row=None, flux_forcing=None):
+def initial_acceleration(pd, yprime0, y2prime0, forcing_row=None):
     """u_tt(., 0): dispersive inverse of u0'' (+ initial forcing).
 
     Endpoint values are fixed by the boundary conditions: zero on the left,
     and on the right the differentiated velocity law -p y''(0) - q y'(0).
     """
     prof = profiles(pd)
-    _, yprime0, y2prime0 = _initial_oscillator(pd, prof, k0, flux_forcing)
     right = -pd.p * y2prime0 - pd.q * yprime0
     rhs = prof.u0pp if forcing_row is None else prof.u0pp + forcing_row
     inv = DispersiveInverse(pd.beta, pd.grid.dx, pd.grid.nx)
@@ -189,40 +185,51 @@ def solve_direct(pd, kernel, forcing=None, flux_forcing=None):
         raise ValueError("kernel is not sampled on the grid's time nodes")
     _check_clamped(prof.u0)
 
-    F = np.zeros((nt + 1, nx + 2)) if forcing is None else np.asarray(forcing, float)
+    F = None if forcing is None else np.asarray(forcing, float)
     g1 = np.zeros(nt + 1) if flux_forcing is None else np.asarray(flux_forcing, float)
+    for name, h, shape in (("forcing", F, (nt + 1, nx + 2)), ("flux_forcing", g1, (nt + 1,))):
+        if h is not None and h.shape != shape:
+            raise ValueError(f"{name} shape {h.shape} does not match the grid's {shape}")
 
-    y0, yprime0, y2prime0 = _initial_oscillator(pd, prof, k[0], flux_forcing)
+    y0, yprime0, y2prime0 = _initial_oscillator(pd, prof, k[0], g1)
 
+    a0 = initial_acceleration(pd, yprime0, y2prime0, None if F is None else F[0])
     u = np.zeros((nt + 1, nx + 2))
-    y = np.zeros(nt + 1)
-    yp = np.zeros(nt + 1)
-    u[0] = prof.u0
-    a0 = initial_acceleration_row(pd, k[0], F[0], flux_forcing)
-    u[1] = prof.u0 + dt * prof.u1 + 0.5 * dt**2 * a0
+    u[:2] = prof.u0, prof.u0 + dt * prof.u1 + 0.5 * dt**2 * a0
     u[1, 0] = 0.0
-    y[0], yp[0] = y0, yprime0
-    y[1] = y0 + dt * yprime0 + 0.5 * dt**2 * y2prime0
-    yp[1] = yprime0 + dt * y2prime0
+    y, yp = np.zeros(nt + 1), np.zeros(nt + 1)
+    y[:2] = y0, y0 + dt * yprime0 + 0.5 * dt**2 * y2prime0
+    yp[:2] = yprime0, yprime0 + dt * y2prime0
 
     inv = DispersiveInverse(pd.beta, dx, nx)
     abc = inv.solve(np.zeros(nx + 2), 0.0, 1.0)
 
-    dxx = np.zeros((nt + 1, nx + 2))
-    ux_r = np.zeros(nt + 1)
-    for m in (0, 1):
-        dxx[m] = second_diff(u[m], dx)
-        ux_r[m] = _first_diff_ends(u[m], dx)[1]
-
+    # every step solves this 2x2 acoustic closure for a_r and the new y
     x1_geom = dt**2 * (3.0 - 4.0 * abc[-2] + abc[-3]) / (2.0 * dx)
+    half = 1.0 - 0.5 * dt * k[0]
+    a11 = half * x1_geom + 3.0 * dt / (2.0 * pd.p)
+    a12 = pd.q / pd.p
+    a21 = dt**2
+    a22 = pd.p + 0.5 * pd.q * dt
+    det = a11 * a22 - a12 * a21
+    if abs(det) < 1e-14:
+        raise NonFinite("singular acoustic boundary closure", step=2)
+
+    dxx = np.zeros((nt, nx + 2))
+    ux_r = np.zeros(nt)
     for n in range(1, nt):
+        # one row at a time: the end stencils of a 1-D row compute on scalars
+        for m in range(0 if n == 1 else n, n + 1):  # the levels first read here
+            dxx[m] = second_diff(u[m], dx)
+            ux_r[m] = _first_diff_ends(u[m], dx)[1]
+
         # memory term at the current level (trapezoid in the lag)
         wts = k[n::-1].copy()
         wts[0] *= 0.5
         wts[-1] *= 0.5
         memory = dt * (wts @ dxx[: n + 1])
 
-        rhs = dxx[n] - memory + F[n]
+        rhs = dxx[n] - memory if F is None else dxx[n] - memory + F[n]
         ahom = inv.solve(rhs, 0.0, 0.0)
         P = 2.0 * u[n] - u[n - 1] + dt**2 * ahom
         c_u = 2.0 * u[n, -1] - u[n - 1, -1]
@@ -233,33 +240,19 @@ def solve_direct(pd, kernel, forcing=None, flux_forcing=None):
         wts2[0] *= 0.5
         R = dt * (wts2 @ ux_r[: n + 1])
 
-        half = 1.0 - 0.5 * dt * k[0]
-        a11 = half * x1_geom + 3.0 * dt / (2.0 * pd.p)
-        a12 = pd.q / pd.p
-        b1 = -(
-            half * x0
-            - R
-            - g1[n + 1]
-            + (3.0 * c_u - 4.0 * u[n, -1] + u[n - 1, -1]) / (2.0 * dt * pd.p)
-        )
-        a21 = dt**2
-        a22 = pd.p + 0.5 * pd.q * dt
+        b1 = -(half * x0 - R - g1[n + 1]
+               + (3.0 * c_u - 4.0 * u[n, -1] + u[n - 1, -1]) / (2.0 * dt * pd.p))
         b2 = (pd.p - 0.5 * pd.q * dt) * y[n] + u[n - 1, -1] - u[n, -1]
-
-        det = a11 * a22 - a12 * a21
-        if abs(det) < 1e-14:
-            raise NonFinite("singular acoustic boundary closure", step=n + 1)
         a_r = (b1 * a22 - a12 * b2) / det
         y_new = (a11 * b2 - a21 * b1) / det
 
+        # u[n+1, -1] is c_u + dt^2 a_r, as ahom and abc end in 0 and 1; x=0
+        # is pinned, as u0(0) may hold a residue the clamp check admits
         u[n + 1] = P + dt**2 * abc * a_r
         u[n + 1, 0] = 0.0
-        u[n + 1, -1] = c_u + dt**2 * a_r
         y[n + 1] = y_new
         ut_r = (3.0 * u[n + 1, -1] - 4.0 * u[n, -1] + u[n - 1, -1]) / (2.0 * dt)
         yp[n + 1] = (-ut_r - pd.q * y_new) / pd.p
-        dxx[n + 1] = second_diff(u[n + 1], dx)
-        ux_r[n + 1] = _first_diff_ends(u[n + 1], dx)[1]
         if not (np.isfinite(u[n + 1, -1]) and np.isfinite(y_new)):
             raise NonFinite("direct marching", step=n + 1)
 

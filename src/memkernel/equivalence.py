@@ -29,10 +29,11 @@ import numpy as np
 
 from .csvio import _fmt
 from .derivatives import derivative_stack, derivative_stack_from_expression
-from .direct import _check_clamped, _initial_oscillator, profile_exprs, profiles
+from .direct import (_check_clamped, _initial_oscillator, initial_acceleration,
+                     profile_exprs, profiles)
 from .errors import AlphaDegenerate, PsiDegenerate
 from .expressions import FuncExpr
-from .grids import DispersiveInverse, quad_trapz
+from .grids import quad_trapz
 
 __all__ = [
     "EquivSetup",
@@ -125,8 +126,7 @@ def build_setup(pd, f, *, noise_sigma=0.0):
     degenerates, except in the identically-zero-data case where the zero
     reconstruction is canonical and alpha is set to 0.
     """
-    grid, prof = pd.grid, profiles(pd)
-    dx, x, ell = grid.dx, grid.x, pd.ell
+    prof, x, ell = profiles(pd), pd.grid.x, pd.ell
 
     _check_clamped(prof.u0)
 
@@ -179,9 +179,7 @@ def build_setup(pd, f, *, noise_sigma=0.0):
     )
     y2prime0 = (stack[1][0] - k0 * stack[0][0] + psi_term) / psi_ell
 
-    u2_right = -pd.p * y2prime0 - pd.q * yprime0
-    inv = DispersiveInverse(pd.beta, dx, grid.nx)
-    u2row = inv.solve(prof.u0pp, 0.0, u2_right)
+    u2row = initial_acceleration(pd, yprime0, y2prime0)
     v1row = u2row - u2row[-1] * x / ell
 
     ghat_u0 = (
@@ -245,6 +243,9 @@ def check_compatibility(setup, pd):
     parts form that eliminates the dispersive operator inverse (legitimate
     because the sensor and its first two derivatives vanish at the ends),
     so the residuals measure data consistency rather than discretization.
+    ``f3_at_0`` holds by construction: ``build_setup`` solves k(0) from
+    f'''(0), and as phi', phi'' vanish at both ends, two integrations by
+    parts reduce it to 0 = 0, so an error in f'''(0) moves k(0) instead.
     Sensor boundary-decay residuals are reported alongside.  Tolerances are
     rtol*(1 + |f^(j)(0)|) with rtol = 1e-6 for symbolic measurements and
     1e-3 for sampled ones.

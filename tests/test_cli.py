@@ -134,10 +134,13 @@ def test_cli_import_skips_heavy_scipy_modules():
     assert out.stdout.strip() == "[]"
 
 
-def test_readme_config_block_runs_as_written(tmp_path):
+def _readme_block():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-    cfgp = write_config(tmp_path, block, "readme.ini")
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_block_runs_as_written(tmp_path):
+    cfgp = write_config(tmp_path, _readme_block(), "readme.ini")
     code = main(["invert", "--twin", "--config", str(cfgp), "--out", str(tmp_path / "o")])
     assert code == 0
     assert (tmp_path / "o" / "k.csv").exists()
@@ -239,6 +242,42 @@ def test_check_command(tmp_path, capsys):
     assert main(["check", "--config", str(cfgp), "--out", str(out)]) == 0
     assert "compatibility: pass" in capsys.readouterr().out
     assert (out / "compat_report.txt").exists()
+
+
+def _readme_config(tmp_path, k_line=None):
+    """The README's config at nx=40, nt=80, its k_true line replaced by
+    ``k_line`` (dropped when None)."""
+    lines = [k_line if line.startswith("k_true") else line
+             for line in _readme_block().splitlines()]
+    text = "\n".join(line for line in lines if line is not None)
+    for old, new in (("nx = 200", "nx = 40"), ("nt = 400", "nt = 80")):
+        assert old in text
+        text = text.replace(old, new)
+    return write_config(tmp_path, text, "readme.ini")
+
+
+@pytest.mark.parametrize("k_line", ["f = 1+t", None], ids=["symbolic-f", "zero-f"])
+def test_check_without_a_kernel_reports_the_measurement(tmp_path, capsys, k_line):
+    # a symbolic f, or with neither f nor k_true a zero measurement, is
+    # checked as given; neither fits this data
+    cfgp = _readme_config(tmp_path, k_line)
+    out = tmp_path / "check"
+    assert main(["check", "--config", str(cfgp), "--out", str(out)]) == 0
+    assert "compatibility: FAIL" in capsys.readouterr().out
+    assert (out / "compat_report.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "k_line, message",
+    [(None, "twin mode needs k_true"),
+     ("k_true = 0.4*cos(2*t)\nf = 1+t", "mutually exclusive")],
+    ids=["no-k_true", "with-f"],
+)
+def test_twin_needs_k_true_alone(tmp_path, capsys, k_line, message):
+    cfgp = _readme_config(tmp_path, k_line)
+    code = main(["invert", "--twin", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_compat_report_holds_plain_numbers(tmp_path):

@@ -17,7 +17,7 @@ from memkernel.errors import BoundaryIncompatible
 from memkernel.expressions import parse
 from memkernel.grids import _sine_modes, quad_trapz
 from memkernel.timeconv import Kernel
-from verify import overdetermination_flux_form
+from verify import overdetermination_flux_form, reference_solve_direct
 
 
 def _manufactured_case(nx, nt, beta=0.1, p=1.0, q=1.3, ell=1.0, T=1.0, c=0.5):
@@ -90,6 +90,42 @@ def test_large_beta_stable_at_dt_equal_dx():
     sol = solve_direct(pd, Kernel.zero(pd.grid.nt, pd.grid.dt))
     assert np.all(np.isfinite(sol.u))
     assert np.max(np.abs(sol.u)) < 10.0 * np.max(np.abs(sol.u[0]) + 1e-12) + 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@example(nx=3, nt=2, beta=0.1, p=1.0, q=1.0, T=1.0, a=0.4, b=2.0, c=0.0,
+         residue=0.0, seed=0)
+@example(nx=20, nt=30, beta=0.1, p=1.0, q=1.0, T=1.0, a=0.4, b=2.0, c=0.0,
+         residue=1e-12, seed=1)
+@given(
+    nx=st.integers(3, 40),
+    nt=st.integers(2, 60),
+    beta=st.floats(0.1, 1.0),
+    p=st.floats(0.2, 3.0),
+    q=st.floats(0.2, 3.0),
+    T=st.floats(0.1, 1.0),
+    a=st.floats(-1.0, 1.0),
+    b=st.floats(0.0, 4.0),
+    c=st.floats(-1.0, 1.0),
+    residue=st.sampled_from([0.0, 1e-12]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_march_matches_the_reference_bit_for_bit(nx, nt, beta, p, q, T, a, b, c,
+                                                 residue, seed):
+    # u0(0) is zero, or a residue the clamp check admits; the hooks are
+    # random fields
+    rng = np.random.default_rng(seed)
+    c0, c1, c2 = rng.uniform(-1.0, 1.0, 3).tolist()
+    pd = make_problem(nx=nx, nt=nt, beta=beta, p=p, q=q, T=T,
+                      u0=f"{c0!r}*x*(2-x) + {c1!r}*sin(3*x) + {residue!r}",
+                      u1=f"{c2!r}*x^2")
+    kern = Kernel.from_expression(parse(f"{a!r}*cos({b!r}*t) + {c!r}", "t"), pd.grid.t)
+    hooks = dict(forcing=rng.standard_normal((nt + 1, nx + 2)),
+                 flux_forcing=rng.standard_normal(nt + 1))
+    for kw in ({}, hooks):
+        got, ref = solve_direct(pd, kern, **kw), reference_solve_direct(pd, kern, **kw)
+        for name in ("u", "y", "yprime", "f"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
 def test_dirichlet_zero_data():

@@ -69,6 +69,11 @@ def test_solver_shape_validation():
         solve_direct(pd, Kernel.zero(5, pd.grid.dt))
     with pytest.raises(ValueError, match="does not match"):
         solve_linear_dirichlet(pd, np.zeros(12), np.zeros(12), np.zeros((3, 12)))
+    kern = Kernel.zero(20, pd.grid.dt)
+    with pytest.raises(ValueError, match=r"flux_forcing shape \(5,\) .*\(21,\)"):
+        solve_direct(pd, kern, flux_forcing=np.zeros(5))
+    with pytest.raises(ValueError, match=r"^forcing shape \(21, 7\) .*\(21, 12\)"):
+        solve_direct(pd, kern, forcing=np.zeros((21, 7)))
 
 
 def test_build_setup_rejects_misshaped_series():

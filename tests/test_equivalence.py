@@ -11,7 +11,7 @@ from memkernel.equivalence import (
 )
 from memkernel.errors import AlphaDegenerate, BoundaryIncompatible, PsiDegenerate
 from memkernel.expressions import parse
-from memkernel.grids import quad_trapz
+from memkernel.grids import DispersiveInverse, quad_trapz
 from memkernel.timeconv import Kernel
 from verify import equivalent_residual, residual_interior_norm, transform_to_v, u_from_v
 
@@ -54,6 +54,18 @@ def test_v0_v1_vanish_at_both_ends():
     assert setup.v0row[-1] == pytest.approx(0.0, abs=1e-12)
     assert setup.v1row[0] == pytest.approx(0.0, abs=1e-12)
     assert setup.v1row[-1] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("symbolic", [False, True])
+def test_u2row_is_the_dispersive_solve_of_u0pp(symbolic):
+    # u_tt(., 0) with the end value the velocity law gives from y'(0), y''(0)
+    pd = make_problem(nx=40, nt=80)
+    kern = Kernel.from_expression(parse("0.4*cos(2*t)", "t"), pd.grid.t)
+    f = parse("0*t", "t") if symbolic else solve_direct(pd, kern).f
+    setup = build_setup(pd, f)
+    right = -pd.p * setup.y2prime0 - pd.q * setup.yprime0
+    inv = DispersiveInverse(pd.beta, pd.grid.dx, pd.grid.nx)
+    assert np.array_equal(setup.u2row, inv.solve(profiles(pd).u0pp, 0.0, right))
 
 
 def test_alpha_against_quadrature_oracle():

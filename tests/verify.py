@@ -13,18 +13,34 @@ reformulation, ``reference_convolution_matrix`` is the dense oracle of the
 library's trapezoid convolution, ``reference_solution_norm`` is the
 iteration metric built from the full difference fields,
 ``reference_derivative_stack`` is the derivative fit that fits every
-candidate degree before it picks one, and ``reference_sensor_rates`` takes
-the fixed-point map's two sensor rates on the fields v_t and v_xxt.
+candidate degree before it picks one, ``reference_sensor_rates`` takes
+the fixed-point map's two sensor rates on the fields v_t and v_xxt, and
+``reference_solve_direct`` is the direct march that rebuilds its acoustic
+closure and solves the initial acceleration afresh on every call.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import chebyshev
 
-from memkernel.direct import profiles, solve_linear_dirichlet
+from memkernel.direct import (
+    DirectSolution,
+    _check_clamped,
+    overdetermination,
+    profiles,
+    solve_linear_dirichlet,
+)
 from memkernel.energy import solution_norm
 from memkernel.equivalence import sensor_functional
-from memkernel.grids import first_diff, quad_trapz, second_diff, spatial_h2_norm
+from memkernel.errors import NonFinite
+from memkernel.grids import (
+    DispersiveInverse,
+    _first_diff_ends,
+    first_diff,
+    quad_trapz,
+    second_diff,
+    spatial_h2_norm,
+)
 from memkernel.timeconv import (
     Kernel,
     conv,
@@ -271,3 +287,126 @@ def calibrate_constant(n_cases, seed, pd, headroom=1.2):
         rhs = spatial_h2_norm(v0, dx) + spatial_h2_norm(v1, dx) + k_norm
         worst = max(worst, lhs / rhs)
     return headroom * worst
+
+
+def _reference_initial_oscillator(pd, prof, k0, flux_forcing=None):
+    """(y(0), y'(0), y''(0)) implied by the data and the boundary relations.
+
+    y'(0) comes from the flux balance at t=0, y(0) from the velocity law at
+    t=0, and y''(0) from the time derivative of the flux balance.
+    """
+    dt = pd.grid.dt
+    yprime0 = prof.u0p[-1]
+    y0 = -(prof.u1[-1] + pd.p * prof.u0p[-1]) / pd.q
+    y2prime0 = prof.u1p[-1] - k0 * prof.u0p[-1]
+    if flux_forcing is not None:
+        g = np.asarray(flux_forcing, dtype=float)
+        yprime0 -= g[0]
+        y0 = -(prof.u1[-1] + pd.p * yprime0) / pd.q
+        y2prime0 -= (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * dt)
+    return y0, yprime0, y2prime0
+
+
+def _reference_initial_acceleration_row(pd, k0, forcing_row=None, flux_forcing=None):
+    """u_tt(., 0): dispersive inverse of u0'' (+ initial forcing).
+
+    Endpoint values are fixed by the boundary conditions: zero on the left,
+    and on the right the differentiated velocity law -p y''(0) - q y'(0).
+    """
+    prof = profiles(pd)
+    _, yprime0, y2prime0 = _reference_initial_oscillator(pd, prof, k0, flux_forcing)
+    right = -pd.p * y2prime0 - pd.q * yprime0
+    rhs = prof.u0pp if forcing_row is None else prof.u0pp + forcing_row
+    inv = DispersiveInverse(pd.beta, pd.grid.dx, pd.grid.nx)
+    return inv.solve(rhs, 0.0, right)
+
+
+def reference_solve_direct(pd, kernel, forcing=None, flux_forcing=None):
+    """``memkernel.direct.solve_direct`` as a step loop that forms the 2x2
+    acoustic closure, checks it and pins both end values on every step,
+    with zero hooks materialized; the library's march must match it bit
+    for bit."""
+    grid, prof = pd.grid, profiles(pd)
+    nx, nt, dx, dt = grid.nx, grid.nt, grid.dx, grid.dt
+    k = np.asarray(kernel.k, dtype=float)
+    if k.shape[0] != nt + 1:
+        raise ValueError("kernel is not sampled on the grid's time nodes")
+    _check_clamped(prof.u0)
+
+    F = np.zeros((nt + 1, nx + 2)) if forcing is None else np.asarray(forcing, float)
+    g1 = np.zeros(nt + 1) if flux_forcing is None else np.asarray(flux_forcing, float)
+
+    y0, yprime0, y2prime0 = _reference_initial_oscillator(pd, prof, k[0], flux_forcing)
+
+    u = np.zeros((nt + 1, nx + 2))
+    y = np.zeros(nt + 1)
+    yp = np.zeros(nt + 1)
+    u[0] = prof.u0
+    a0 = _reference_initial_acceleration_row(pd, k[0], F[0], flux_forcing)
+    u[1] = prof.u0 + dt * prof.u1 + 0.5 * dt**2 * a0
+    u[1, 0] = 0.0
+    y[0], yp[0] = y0, yprime0
+    y[1] = y0 + dt * yprime0 + 0.5 * dt**2 * y2prime0
+    yp[1] = yprime0 + dt * y2prime0
+
+    inv = DispersiveInverse(pd.beta, dx, nx)
+    abc = inv.solve(np.zeros(nx + 2), 0.0, 1.0)
+
+    dxx = np.zeros((nt + 1, nx + 2))
+    ux_r = np.zeros(nt + 1)
+    for m in (0, 1):
+        dxx[m] = second_diff(u[m], dx)
+        ux_r[m] = _first_diff_ends(u[m], dx)[1]
+
+    x1_geom = dt**2 * (3.0 - 4.0 * abc[-2] + abc[-3]) / (2.0 * dx)
+    for n in range(1, nt):
+        # memory term at the current level (trapezoid in the lag)
+        wts = k[n::-1].copy()
+        wts[0] *= 0.5
+        wts[-1] *= 0.5
+        memory = dt * (wts @ dxx[: n + 1])
+
+        rhs = dxx[n] - memory + F[n]
+        ahom = inv.solve(rhs, 0.0, 0.0)
+        P = 2.0 * u[n] - u[n - 1] + dt**2 * ahom
+        c_u = 2.0 * u[n, -1] - u[n - 1, -1]
+
+        x0 = (3.0 * c_u - 4.0 * P[-2] + P[-3]) / (2.0 * dx)
+        # partial memory of the boundary flux (all but the m = n+1 node)
+        wts2 = k[n + 1 : 0 : -1].copy()
+        wts2[0] *= 0.5
+        R = dt * (wts2 @ ux_r[: n + 1])
+
+        half = 1.0 - 0.5 * dt * k[0]
+        a11 = half * x1_geom + 3.0 * dt / (2.0 * pd.p)
+        a12 = pd.q / pd.p
+        b1 = -(
+            half * x0
+            - R
+            - g1[n + 1]
+            + (3.0 * c_u - 4.0 * u[n, -1] + u[n - 1, -1]) / (2.0 * dt * pd.p)
+        )
+        a21 = dt**2
+        a22 = pd.p + 0.5 * pd.q * dt
+        b2 = (pd.p - 0.5 * pd.q * dt) * y[n] + u[n - 1, -1] - u[n, -1]
+
+        det = a11 * a22 - a12 * a21
+        if abs(det) < 1e-14:
+            raise NonFinite("singular acoustic boundary closure", step=n + 1)
+        a_r = (b1 * a22 - a12 * b2) / det
+        y_new = (a11 * b2 - a21 * b1) / det
+
+        u[n + 1] = P + dt**2 * abc * a_r
+        u[n + 1, 0] = 0.0
+        u[n + 1, -1] = c_u + dt**2 * a_r
+        y[n + 1] = y_new
+        ut_r = (3.0 * u[n + 1, -1] - 4.0 * u[n, -1] + u[n - 1, -1]) / (2.0 * dt)
+        yp[n + 1] = (-ut_r - pd.q * y_new) / pd.p
+        dxx[n + 1] = second_diff(u[n + 1], dx)
+        ux_r[n + 1] = _first_diff_ends(u[n + 1], dx)[1]
+        if not (np.isfinite(u[n + 1, -1]) and np.isfinite(y_new)):
+            raise NonFinite("direct marching", step=n + 1)
+
+    if not np.all(np.isfinite(u)):
+        raise NonFinite("direct marching")
+    return DirectSolution(u=u, y=y, yprime=yp, f=overdetermination(pd, u))
