@@ -36,7 +36,7 @@ from .errors import (
     MemKernelError,
     NoConvergence,
 )
-from .expressions import parse, sample, to_text
+from .expressions import differentiate, parse, sample, to_text
 from .grids import Grid
 from .inverse import InverseOptions, reconstruct
 from .rng import PortableRng
@@ -131,7 +131,9 @@ def _validate(cfg):
 
     ``Grid``, ``ProblemData``, the expression parser and ``InverseOptions``
     each check their own inputs and raise ``ValueError``; u0, u1 and phi are
-    then sampled on the grid, where the clamp rule of the solvers applies.
+    then sampled on the space nodes, where the clamp rule of the solvers
+    applies, and k_true, its rate and f with the four derivatives the
+    inverse solver takes on the time nodes.
     """
     if cfg.sign_variant not in ("plus", "minus"):
         raise ConfigError("sign_variant must be 'plus' or 'minus'")
@@ -155,10 +157,21 @@ def _validate(cfg):
                 _parse_key(cfg, key, "t")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # the data must evaluate on the space nodes, and u0 meet the clamp
-    for key in ("u0", "u1", "phi"):
+    # the data must evaluate on the space nodes, and u0 meet the clamp; the
+    # kernel with its rate and the measurement with the four derivatives
+    # the inverse solver takes must evaluate on the time nodes
+    x, t = pd.grid.x, pd.grid.t
+    exprs = [("u0", pd.u0, x), ("u1", pd.u1, x), ("phi", pd.phi, x)]
+    for key, order in (("k_true", 1), ("f", 4)):
+        if getattr(cfg, key) is not None:
+            e = parse(getattr(cfg, key), "t")
+            exprs.append((key, e, t))
+            for _ in range(order):
+                e = differentiate(e)
+                exprs.append((key, e, t))
+    for key, expr, points in exprs:
         try:
-            row = sample(getattr(pd, key), pd.grid.x)
+            row = sample(expr, points)
             if key == "u0":
                 _check_clamped(row)
         except (EvaluationError, BoundaryIncompatible) as exc:

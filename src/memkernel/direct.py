@@ -20,14 +20,27 @@ second-order u_x, trapezoid memory) with the trapezoid-integrated velocity
 law.  The second time level comes from a Taylor start using the exact
 initial acceleration of ``initial_acceleration``, which ``build_setup`` shares.
 
-The acceleration solve is ``DispersiveInverse``, which inverts
-(I - beta D_xx) in the same sine basis as the Dirichlet march below.
+``solve_direct`` marches the interior as sine coefficients, where
+(I - beta D_xx)^{-1} is diagonal.  Only the right-end value u_R and the
+oscillator stay scalar series.  For a level with u(0) = 0 the interior
+D_xx u has the modes -mu uhat + u_R lift, lift being the projection of the
+right end's stencil weight, so a step costs the memory product over the
+modal history and O(nx) vector work.  The interior acceleration that
+carries a unit right-end acceleration is one ``DispersiveInverse`` solve,
+made once.  The two nodes beside the right end, read by the flux stencil,
+come from one product with two columns of the sine matrix.  The field is
+formed once at the end.  The modal accelerations go back to nodes in row
+blocks and are summed like the recurrence, from the physical rows 0 and 1:
+back-transforming every row's modes instead adds roundoff that is
+uncorrelated in time, which second time differences of u amplify by
+1/dt^2.  The physical step loop survives as the test oracle
+``tests/verify.py::reference_solve_direct``.
 
 ``solve_linear_dirichlet`` runs the same stepping for the homogeneous
 Dirichlet problem v_tt - v_xx - beta v_xxtt = K used inside the inverse
-iteration, but in the discrete sine basis: with both ends pinned, D_xx and
-(I - beta D_xx)^{-1} are diagonal there, so the march is one projection of
-K, an independent three-term recurrence per mode and one transform back.
+iteration.  With both ends pinned and no memory, the modes decouple: the
+march is one projection of K, an independent three-term recurrence per
+mode and one transform back.
 Only a march from t = 0 takes the Taylor start.  A march continued from
 two solved levels takes the recurrence itself as its first step, so a
 window of the inverse iteration steps exactly the rows of the global march.
@@ -215,46 +228,76 @@ def solve_direct(pd, kernel, forcing=None, flux_forcing=None):
     if abs(det) < 1e-14:
         raise NonFinite("singular acoustic boundary closure", step=2)
 
-    dxx = np.zeros((nt, nx + 2))
-    ux_r = np.zeros(nt)
-    for n in range(1, nt):
-        # one row at a time: the end stencils of a 1-D row compute on scalars
-        for m in range(0 if n == 1 else n, n + 1):  # the levels first read here
-            dxx[m] = second_diff(u[m], dx)
-            ux_r[m] = _first_diff_ends(u[m], dx)[1]
+    # Sine modes are row vectors, as in ``solve_linear_dirichlet``.  Rows 0
+    # and 1 project their physical second differences, which carries any
+    # u0(0) residue; later levels vanish at x = 0.
+    S, mu, inv_disp = _sine_modes(nx, dx, pd.beta)
+    proj = 2.0 / (nx + 1)
+    lift = (proj / dx**2) * S[-1]
+    abc_hat = proj * (abc[1:-1] @ S)
+    near_end = np.ascontiguousarray(S[:, [-1, -2]])  # modes -> nodes nx, nx - 1
+    abc_near = (dt**2 * abc[-2], dt**2 * abc[-3])
+    dxx = np.empty((nt + 1, nx))
+    dxx[:2] = proj * (second_diff(u[:2], dx)[:, 1:-1] @ S)
+    prev, cur = proj * (u[:2, 1:-1] @ S)
+    ux_r = np.empty(nt + 1)
+    ux_r[:2] = _first_diff_ends(u[:2], dx)[1]
+    u_r = u[:, -1]
 
+    # acc[n] (the interior of row n + 1) holds the modal acceleration of
+    # step n; before step n writes it, it holds the projected forcing.
+    acc = u[1:, 1:-1]
+    if F is not None:
+        np.matmul(F[1:nt, 1:-1], S, out=acc[1:])
+        acc[1:] *= proj
+    for n in range(1, nt):
         # memory term at the current level (trapezoid in the lag)
         wts = k[n::-1].copy()
         wts[0] *= 0.5
         wts[-1] *= 0.5
-        memory = dt * (wts @ dxx[: n + 1])
+        a_hom = dxx[n] - dt * (wts @ dxx[: n + 1])
+        if F is not None:
+            a_hom += acc[n]
+        a_hom *= inv_disp
+        P = 2.0 * cur - prev + dt**2 * a_hom
+        p2, p3 = (P @ near_end).tolist()  # P at the nodes nx and nx - 1
+        c_u = 2.0 * u_r[n] - u_r[n - 1]
 
-        rhs = dxx[n] - memory if F is None else dxx[n] - memory + F[n]
-        ahom = inv.solve(rhs, 0.0, 0.0)
-        P = 2.0 * u[n] - u[n - 1] + dt**2 * ahom
-        c_u = 2.0 * u[n, -1] - u[n - 1, -1]
-
-        x0 = (3.0 * c_u - 4.0 * P[-2] + P[-3]) / (2.0 * dx)
+        x0 = (3.0 * c_u - 4.0 * p2 + p3) / (2.0 * dx)
         # partial memory of the boundary flux (all but the m = n+1 node)
         wts2 = k[n + 1 : 0 : -1].copy()
         wts2[0] *= 0.5
         R = dt * (wts2 @ ux_r[: n + 1])
 
         b1 = -(half * x0 - R - g1[n + 1]
-               + (3.0 * c_u - 4.0 * u[n, -1] + u[n - 1, -1]) / (2.0 * dt * pd.p))
-        b2 = (pd.p - 0.5 * pd.q * dt) * y[n] + u[n - 1, -1] - u[n, -1]
+               + (3.0 * c_u - 4.0 * u_r[n] + u_r[n - 1]) / (2.0 * dt * pd.p))
+        b2 = (pd.p - 0.5 * pd.q * dt) * y[n] + u_r[n - 1] - u_r[n]
         a_r = (b1 * a22 - a12 * b2) / det
         y_new = (a11 * b2 - a21 * b1) / det
 
-        # u[n+1, -1] is c_u + dt^2 a_r, as ahom and abc end in 0 and 1; x=0
-        # is pinned, as u0(0) may hold a residue the clamp check admits
-        u[n + 1] = P + dt**2 * abc * a_r
-        u[n + 1, 0] = 0.0
+        # abc ends in 1, so the right end is c_u + dt^2 a_r
+        acc[n] = a_hom + a_r * abc_hat
+        prev, cur = cur, P + (dt**2 * a_r) * abc_hat
+        u_r[n + 1] = c_u + dt**2 * a_r
         y[n + 1] = y_new
-        ut_r = (3.0 * u[n + 1, -1] - 4.0 * u[n, -1] + u[n - 1, -1]) / (2.0 * dt)
+        ut_r = (3.0 * u_r[n + 1] - 4.0 * u_r[n] + u_r[n - 1]) / (2.0 * dt)
         yp[n + 1] = (-ut_r - pd.q * y_new) / pd.p
-        if not (np.isfinite(u[n + 1, -1]) and np.isfinite(y_new)):
+        if not (np.isfinite(u_r[n + 1]) and np.isfinite(y_new)):
             raise NonFinite("direct marching", step=n + 1)
+        dxx[n + 1] = u_r[n + 1] * lift - mu * cur
+        ux_r[n + 1] = (3.0 * u_r[n + 1] - 4.0 * (p2 + abc_near[0] * a_r)
+                       + (p3 + abc_near[1] * a_r)) / (2.0 * dx)
+
+    # Rows 2.. are the physical accelerations summed like the recurrence,
+    # not back-transformed modes (see the module docstring); row blocks keep
+    # the transform's buffer small.
+    for b in range(1, nt, 64):
+        acc[b : b + 64] = acc[b : b + 64] @ S
+    acc[1:] *= dt**2
+    acc[0] -= u[0, 1:-1]
+    np.cumsum(acc, axis=0, out=acc)  # differences u[n+1] - u[n]
+    acc[0] += u[0, 1:-1]
+    np.cumsum(acc, axis=0, out=acc)
 
     if not np.all(np.isfinite(u)):
         raise NonFinite("direct marching")

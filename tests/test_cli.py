@@ -157,6 +157,20 @@ def test_bad_problem_input_exits_config(tmp_path, capsys, old, new):
     _assert_invert_exits_config(tmp_path, capsys, old, new)
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [("invert", "f = 1/t"), ("synth", "k_true = 1/(t-0.5)")],
+)
+def test_kernel_or_measurement_off_the_time_nodes_exits_config(tmp_path, capsys,
+                                                                command, line):
+    # t = 0 and t = 0.5 are time nodes at nt = 120
+    cfgp = write_config(tmp_path, TWIN_CONFIG.replace("k_true = 0.5*exp(-t)", line))
+    code = main([command, "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:") and line.split()[0] in err
+
+
 def test_direct_command_outputs(tmp_path):
     cfgp = write_config(tmp_path)
     out = tmp_path / "run"
@@ -278,6 +292,14 @@ def test_twin_needs_k_true_alone(tmp_path, capsys, k_line, message):
     code = main(["invert", "--twin", "--config", str(cfgp), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+def test_coarse_twin_passes_its_own_compatibility_gate(tmp_path):
+    # at nx=40 the solver's f misses the exact identities by its O(dx^2)
+    # quadrature gap, which the sampled-f tolerance admits
+    cfgp = _readme_config(tmp_path, "k_true = 0.4*cos(2*t)")
+    code = main(["invert", "--twin", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    assert code == 0
 
 
 def test_compat_report_holds_plain_numbers(tmp_path):

@@ -15,8 +15,8 @@ iteration metric built from the full difference fields,
 ``reference_derivative_stack`` is the derivative fit that fits every
 candidate degree before it picks one, ``reference_sensor_rates`` takes
 the fixed-point map's two sensor rates on the fields v_t and v_xxt, and
-``reference_solve_direct`` is the direct march that rebuilds its acoustic
-closure and solves the initial acceleration afresh on every call.
+``reference_solve_direct`` is the direct march in physical space: one
+dispersive solve and one acoustic closure per step.
 """
 
 import numpy as np
@@ -322,10 +322,11 @@ def _reference_initial_acceleration_row(pd, k0, forcing_row=None, flux_forcing=N
 
 
 def reference_solve_direct(pd, kernel, forcing=None, flux_forcing=None):
-    """``memkernel.direct.solve_direct`` as a step loop that forms the 2x2
-    acoustic closure, checks it and pins both end values on every step,
-    with zero hooks materialized; the library's march must match it bit
-    for bit."""
+    """``memkernel.direct.solve_direct`` as a physical step loop: each step
+    solves the dispersive system for the whole row, forms the 2x2 acoustic
+    closure, checks it and pins both end values, with zero hooks
+    materialized.  The library marches the same scheme in sine modes and
+    must match it to roundoff."""
     grid, prof = pd.grid, profiles(pd)
     nx, nt, dx, dt = grid.nx, grid.nt, grid.dx, grid.dt
     k = np.asarray(kernel.k, dtype=float)
