@@ -40,7 +40,9 @@ uncorrelated in time, which second time differences of u amplify by
 Dirichlet problem v_tt - v_xx - beta v_xxtt = K used inside the inverse
 iteration.  With both ends pinned and no memory, the modes decouple: the
 march is one projection of K, an independent three-term recurrence per
-mode and one transform back.
+mode (``_march_modes``, from ``_dirichlet_seed``) and one transform back.
+The inverse iteration runs the same recurrence on forcing it assembles in
+modes, with no transform at all.
 Only a march from t = 0 takes the Taylor start.  A march continued from
 two solved levels takes the recurrence itself as its first step, so a
 window of the inverse iteration steps exactly the rows of the global march.
@@ -304,53 +306,83 @@ def solve_direct(pd, kernel, forcing=None, flux_forcing=None):
     return DirectSolution(u=u, y=y, yprime=yp, f=overdetermination(pd, u))
 
 
+def _dirichlet_coefficients(pd):
+    """Per-mode gain dt^2/(1 + beta mu) and recurrence factor
+    c = 2 - gain mu of the homogeneous Dirichlet march."""
+    grid = pd.grid
+    _, mu, inv_disp = _sine_modes(grid.nx, grid.dx, pd.beta)
+    gain = grid.dt**2 * inv_disp
+    return gain, 2.0 - gain * mu
+
+
+def _dirichlet_seed(pd, v0row, v1row, prev_row=None):
+    """Start of a modal Dirichlet march at ``v0row``: ``(w0, taper, offset)``.
+
+    ``w0`` holds the sine modes of ``v0row``; the first step sets
+    vhat^1 = taper h^0 + offset, h^0 being the scaled forcing of level 0.
+    Without ``prev_row`` that is the Taylor start from t = 0 (taper 1/2),
+    which takes the second difference of ``v0row`` in physical space, so
+    nonzero endpoints of ``v0row`` enter it.  With ``prev_row``, the solved
+    level one step before, it is the recurrence itself (taper 1), and
+    ``v1row`` is not read.
+    """
+    grid = pd.grid
+    S, _, _ = _sine_modes(grid.nx, grid.dx, pd.beta)
+    gain, c = _dirichlet_coefficients(pd)
+    proj = 2.0 / (grid.nx + 1)
+    v0row = np.asarray(v0row, dtype=float)
+    if prev_row is None:
+        rows = np.stack([v0row, np.asarray(v1row, float), second_diff(v0row, grid.dx)])
+        w0, w1, d0 = proj * (rows[:, 1:-1] @ S)
+        return w0, 0.5, w0 + grid.dt * w1 + 0.5 * gain * d0
+    rows = np.stack([np.asarray(prev_row, float), v0row])
+    w_prev, w0 = proj * (rows[:, 1:-1] @ S)
+    return w0, 1.0, c * w0 - w_prev
+
+
+def _march_modes(h, seed, c):
+    """The three-level recurrence vhat^{n+1} = c vhat^n - vhat^{n-1} + h^n,
+    in place: on entry ``h[n]`` holds the scaled forcing of level n, on
+    exit the modes of level n + 1.  ``seed`` is ``_dirichlet_seed``'s."""
+    w0, taper, offset = seed
+    h[0] *= taper
+    h[0] += offset
+    prev = w0
+    for n in range(1, h.shape[0]):
+        h[n] += c * h[n - 1] - prev
+        prev = h[n - 1]
+
+
 def solve_linear_dirichlet(pd, v0row, v1row, K, prev_row=None):
     """March v_tt - v_xx - beta v_xxtt = K with homogeneous Dirichlet ends.
 
     The three-level scheme of ``solve_direct`` with both ends pinned, run
     in the sine basis where D_xx and (I - beta D_xx)^{-1} are diagonal:
-    each mode follows vhat^{n+1} = c vhat^n - vhat^{n-1} + Khat^n with
-    c = 2 - dt^2 mu/(1 + beta mu) and Khat the projected forcing scaled by
-    dt^2/(1 + beta mu).
+    each mode follows ``_march_modes`` with Khat the projected forcing
+    scaled by ``_dirichlet_coefficients``' gain, from ``_dirichlet_seed``.
 
-    Without ``prev_row`` the march starts at t = 0: its second level is the
-    Taylor start from ``v0row`` and the velocity ``v1row``.  That start
-    takes the second difference of ``v0row`` in physical space, so nonzero
-    endpoints of ``v0row`` enter it.  ``prev_row`` is the solved level one
-    step before ``v0row``: the march then continues a global one, its first
-    step is the recurrence itself, and ``v1row`` is not read.  Row 0 is
-    ``v0row`` as given; every later row vanishes at both ends.
+    Without ``prev_row`` the march starts at t = 0 by the Taylor start
+    from ``v0row`` and the velocity ``v1row``.  ``prev_row`` is the solved
+    level one step before ``v0row``: the march then continues a global one
+    and ``v1row`` is not read.  Row 0 is ``v0row`` as given; every later
+    row vanishes at both ends.
     """
     grid = pd.grid
-    nx, nt, dx, dt = grid.nx, grid.nt, grid.dx, grid.dt
+    nx, nt = grid.nx, grid.nt
     K = np.asarray(K, dtype=float)
     if K.shape != (nt + 1, nx + 2):
         raise ValueError(f"forcing shape {K.shape} does not match the grid")
-    S, mu, inv_disp = _sine_modes(nx, dx, pd.beta)
-    gain = dt**2 * inv_disp
-    c = 2.0 - gain * mu
-    proj = 2.0 / (nx + 1)
+    S, _, _ = _sine_modes(nx, grid.dx, pd.beta)
+    gain, c = _dirichlet_coefficients(pd)
 
     # The march runs inside the output: h[n] holds the scaled forcing of
-    # level n until step n overwrites it with vhat^{n+1}; K[nt] never
+    # level n until the march overwrites it with vhat^{n+1}; K[nt] never
     # enters the march.
     v = np.zeros((nt + 1, nx + 2))
     h = v[1:, 1:-1]
     np.matmul(K[:nt, 1:-1], S, out=h)
-    h *= proj * gain
-    v0row = np.asarray(v0row, dtype=float)
-    if prev_row is None:
-        rows = np.stack([v0row, np.asarray(v1row, float), second_diff(v0row, dx)])
-        w0, w1, d0 = proj * (rows[:, 1:-1] @ S)
-        h[0] = w0 + dt * w1 + 0.5 * (h[0] + gain * d0)
-    else:
-        rows = np.stack([np.asarray(prev_row, float), v0row])
-        w_prev, w0 = proj * (rows[:, 1:-1] @ S)
-        h[0] += c * w0 - w_prev
-    prev = w0
-    for n in range(1, nt):
-        h[n] += c * h[n - 1] - prev
-        prev = h[n - 1]
+    h *= (2.0 / (nx + 1)) * gain
+    _march_modes(h, _dirichlet_seed(pd, v0row, v1row, prev_row), c)
     # Back-transform in row blocks: one whole-array product would need a
     # second field-sized buffer.
     for b in range(0, nt, 64):

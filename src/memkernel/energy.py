@@ -4,7 +4,9 @@ For the homogeneous Dirichlet problem v_tt - v_xx - beta v_xxtt = K the
 first-level energy E1 = (|v_t|^2 + |v_x|^2 + beta |v_xt|^2) / 2 is conserved
 when K = 0 and controlled by the data otherwise; the second-level energy E2
 uses one more spatial derivative.  ``solution_norm`` measures v, v_t and
-v_tt in discrete H2 and is the metric of the Picard iteration.  The a
+v_tt in discrete H2; ``modal_solution_norm`` is the same norm of a field
+held as sine coefficients, and the metric of the Picard iteration.  Both
+take their row norms from the one H2 form of ``grids``.  The a
 priori bound C (|v0| + |v1| + |K|) on it, with C calibrated once and
 frozen, is a stability sentinel of the test suite (``tests/verify.py``).
 """
@@ -15,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import first_diff, quad_trapz, second_diff, spatial_h2_norm
+from .grids import first_diff, modal_h2_norm, quad_trapz, second_diff, spatial_h2_norm
 from .timeconv import integrate_prefix, l2_time_norm, time_derivative
 
 __all__ = [
     "EnergyTrack",
     "energy_series",
     "solution_norm",
+    "modal_solution_norm",
 ]
 
 
@@ -68,11 +71,23 @@ def energy_series(v, beta, grid):
 def solution_norm(v, grid):
     """H2-in-time norm surrogate: v, v_t, v_tt measured in discrete H2(I).
 
-    Sum of the three L2-in-time norms of the spatial H2 row norms; the same
-    surrogate drives the fixed-point iteration metric.
+    Sum of the three L2-in-time norms of the spatial H2 row norms.
     """
-    v = np.asarray(v, float)
+    return _h2_in_time(np.asarray(v, float), grid, spatial_h2_norm)
+
+
+def modal_solution_norm(v_hat, grid):
+    """``solution_norm`` of a field whose rows vanish at both ends, given by
+    their sine coefficients; the fixed-point iteration metric."""
+    return _h2_in_time(np.asarray(v_hat, float), grid, modal_h2_norm)
+
+
+def _h2_in_time(v, grid, row_norm):
+    # time differences act on each coefficient as on each node; one layer
+    # at a time keeps at most two derived fields alive
     dt, dx = grid.dt, grid.dx
+    total = l2_time_norm(row_norm(v, dx), dt)
     vt = time_derivative(v, dt)
-    layers = (v, vt, time_derivative(vt, dt))
-    return float(sum(l2_time_norm(spatial_h2_norm(layer, dx), dt) for layer in layers))
+    total += l2_time_norm(row_norm(vt, dx), dt)
+    total += l2_time_norm(row_norm(time_derivative(vt, dt), dx), dt)
+    return float(total)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "build_setup",
     "check_compatibility",
     "sensor_functional",
+    "sensor_moment",
     "prefix_integral_row",
     "gl_integral",
 ]
@@ -107,6 +109,15 @@ class EquivSetup:
     symbolic_f: bool
 
 
+@lru_cache(maxsize=16)
+def sensor_moment(pd):
+    """psi(x) = integral of phi over (0, x) less beta phi'(x), on the nodes;
+    read-only, as ``build_setup`` and the inverse iteration share it."""
+    psi = prefix_integral_row(pd.phi, pd.grid.x) - pd.beta * profiles(pd).phip
+    psi.flags.writeable = False
+    return psi
+
+
 def _f_stack(pd, f, noise_sigma):
     t = pd.grid.t
     if isinstance(f, FuncExpr):
@@ -133,7 +144,7 @@ def build_setup(pd, f, *, noise_sigma=0.0):
     stack, symbolic = _f_stack(pd, f, noise_sigma)
     d = profile_exprs(pd)
 
-    psi_row = prefix_integral_row(pd.phi, x) - pd.beta * prof.phip
+    psi_row = sensor_moment(pd)
     psi_ell = float(psi_row[-1])
     if abs(psi_ell) < DEGENERACY_FLOOR:
         raise PsiDegenerate(f"sensor moment psi(ell) = {psi_ell:.3e} is too small")

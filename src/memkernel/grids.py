@@ -2,7 +2,11 @@
 
 Space rows are 1-D float arrays over all nodes ``x_0 .. x_{nx+1}`` (length
 ``nx + 2``); fields are 2-D arrays with one row per time level (shape
-``(nt + 1, nx + 2)``).  All operators are pure functions of their inputs.
+``(nt + 1, nx + 2)``).  A row that vanishes at both ends is also held as
+its ``nx`` sine coefficients (``_sine_modes``); the discrete H2 row norm is
+one quadratic form in those coefficients, which ``spatial_h2_norm`` reaches
+by lifting off a row's end values.  All operators are pure functions of
+their inputs.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ __all__ = [
     "DispersiveInverse",
     "quad_trapz",
     "spatial_h2_norm",
+    "modal_h2_norm",
 ]
 
 
@@ -113,24 +118,47 @@ def _first_diff_ends(row, dx):
 
 
 @lru_cache(maxsize=8)
-def _sine_modes(nx, dx, beta):
-    """Sine basis of the Dirichlet interior and the operator eigenvalues.
+def _sine_matrix(nx):
+    """``S[i, j] = sin(pi i j / (nx + 1))`` for i, j = 1..nx, read-only.
 
-    ``S[i, j] = sin(pi i j / (nx + 1))`` for i, j = 1..nx is symmetric with
-    ``S @ S = (nx + 1)/2 I``; row vectors project as ``(2/(nx + 1)) w @ S``
-    and return as ``w_hat @ S``.  Its columns are eigenvectors of the
-    interior second difference with eigenvalues ``-mu_j``, so
-    ``(I - beta D_xx)^{-1}`` acts as ``1/(1 + beta mu_j)``.  The phase
-    ``i*j`` is reduced modulo ``2(nx + 1)`` in integers so each entry is
-    rounded once.  Returns read-only ``(S, mu, 1/(1 + beta mu))``.
+    The phase ``i*j`` is reduced modulo ``2(nx + 1)`` in integers so each
+    entry is rounded once.
     """
     j = np.arange(1, nx + 1)
     S = np.sin((np.pi / (nx + 1)) * (np.outer(j, j) % (2 * (nx + 1))))
+    S.flags.writeable = False
+    return S
+
+
+@lru_cache(maxsize=8)
+def _sine_modes(nx, dx, beta):
+    """Sine basis of the Dirichlet interior and the operator eigenvalues.
+
+    ``S = _sine_matrix(nx)`` is symmetric with ``S @ S = (nx + 1)/2 I``;
+    row vectors project as ``(2/(nx + 1)) w @ S`` and return as
+    ``w_hat @ S``.  Its columns are eigenvectors of the interior second
+    difference with eigenvalues ``-mu_j``, so ``(I - beta D_xx)^{-1}`` acts
+    as ``1/(1 + beta mu_j)``.  Returns read-only ``(S, mu, 1/(1 + beta mu))``.
+    """
+    j = np.arange(1, nx + 1)
     mu = (4.0 / dx**2) * np.sin(np.pi * j / (2 * (nx + 1))) ** 2
-    modes = (S, mu, 1.0 / (1.0 + beta * mu))
+    modes = (_sine_matrix(nx), mu, 1.0 / (1.0 + beta * mu))
     for a in modes:
         a.flags.writeable = False
     return modes
+
+
+def _end_stencil_modes(nx, dx):
+    """The one-sided end stencils as functionals of sine coefficients.
+
+    Rows, for a row with zero ends given by its coefficients ``w_hat``:
+    ``first_diff`` at the first and at the last node, then ``second_diff``
+    at the first and at the last node; ``w_hat @ rows.T`` evaluates them.
+    They are the stencils applied to each sine on the nodes.
+    """
+    sines = np.zeros((nx, nx + 2))
+    sines[:, 1:-1] = _sine_matrix(nx)
+    return np.stack(_first_diff_ends(sines, dx) + _second_diff_ends(sines, dx))
 
 
 class DispersiveInverse:
@@ -175,28 +203,69 @@ def quad_trapz(row, dx):
     return dx * (row[..., :].sum(axis=-1) - 0.5 * (row[..., 0] + row[..., -1]))
 
 
+@lru_cache(maxsize=8)
+def _h2_form(nx, dx):
+    """The squared ``spatial_h2_norm`` over ``dx`` of a row with zero ends, as
+    a quadratic form in its sine coefficients: diagonal plus rank 6.
+
+    With N = nx + 1, the value and the interior second differences
+    (eigenvalues -mu) are diagonal, (N/2)(1 + mu_j^2).  The centered first
+    difference takes sine j to s_j times cosine j, s_j = sin(j pi/N)/dx;
+    the cosines are orthogonal under the DCT-I sum over nodes 0..N with
+    halved ends, so over nodes 1..nx the part is (N/2) sum a_j^2 less
+    (sum a_j)^2/2 and (sum (-1)^j a_j)^2/2, with a = s w_hat.  The four
+    one-sided end stencils enter with the trapezoid weight one half.
+    Returns read-only ``(d, B, w)``: the form is
+    ``sum_j d_j w_hat_j^2 + sum_k w_k (w_hat @ B)_k^2``.
+    """
+    N = nx + 1
+    j = np.arange(1, N)
+    s = np.sin(np.pi * j / N) / dx
+    mu = _sine_modes(nx, dx, 0.0)[1]
+    d = (N / 2) * (1.0 + s * s + mu * mu)
+    B = np.column_stack((s, (-1.0) ** j * s, _end_stencil_modes(nx, dx).T))
+    w = np.array([-0.5, -0.5, 0.5, 0.5, 0.5, 0.5])
+    for a in (d, B, w):
+        a.flags.writeable = False
+    return d, B, w
+
+
+def _h2_squares(w_hat, dx):
+    d, B, w = _h2_form(w_hat.shape[-1], dx)
+    p = w_hat @ B
+    return (w_hat * w_hat) @ d + (p * p) @ w
+
+
+def modal_h2_norm(w_hat, dx):
+    """``spatial_h2_norm`` of rows with zero ends given by their sine
+    coefficients (last axis), through the form of ``_h2_form``."""
+    return np.sqrt(dx * _h2_squares(np.asarray(w_hat, dtype=float), dx))
+
+
 def spatial_h2_norm(row, dx):
     """Discrete H2(I) norm along the last axis: trapezoid L2 norms of the
     value, ``first_diff`` and ``second_diff``.
 
     The trapezoid rule weighs interior nodes by one and the two endpoints
-    by one half.  The squares of the interior stencils are summed by row
-    dot products over one buffer of interior differences, and those of the
-    one-sided endpoint values on the edge columns, so no full-size
-    difference field is built.
+    by one half.  The form of ``modal_h2_norm`` holds for rows with zero
+    ends, so the row first loses the linear interpolant of its two end
+    values.  The interpolant has zero second differences and first
+    differences equal to its slope g at every node (the one-sided stencils
+    are exact on it), so its value adds one dot product and its slope
+    closed-form cross terms.
     """
     r = np.asarray(row, dtype=float)
-    a, c, b = r[..., :-2], r[..., 1:-1], r[..., 2:]
-
-    def dot(u):
-        return np.einsum("...j,...j->...", u, u)
-
-    ends = (r[..., 0], r[..., -1]) + _first_diff_ends(r, dx) + _second_diff_ends(r, dx)
-    total = 0.5 * sum(e * e for e in ends) + dot(c)
-    d = b - a
-    total += dot(d) / (2.0 * dx) ** 2
-    np.multiply(c, -2.0, out=d)  # reuse the buffer: -2c + a + b rounds as a - 2c + b
-    d += a
-    d += b
-    total += dot(d) / dx**4
+    nx = r.shape[-1] - 2
+    r0, rn = r[..., :1], r[..., -1:]
+    lift = r0 + (rn - r0) * (np.arange(1, nx + 1) / (nx + 1))
+    w = r[..., 1:-1] - lift
+    w_hat = (2.0 / (nx + 1)) * (w @ _sine_matrix(nx))
+    r0, rn = r0[..., 0], rn[..., 0]
+    g = (rn - r0) / ((nx + 1) * dx)
+    w1, w2, wm, wn = w[..., 0], w[..., 1], w[..., -2], w[..., -1]
+    # sum of w's centered first differences (it telescopes) and of its two
+    # one-sided end values, each crossed with the slope
+    fd_sum = (wn - w1) / dx + (4 * w1 - w2 - 4 * wn + wm) / (2.0 * dx)
+    value = np.einsum("...j,...j->...", lift, r[..., 1:-1] + w) + 0.5 * (r0 * r0 + rn * rn)
+    total = _h2_squares(w_hat, dx) + value + g * (fd_sum + (nx + 1) * g)
     return np.sqrt(dx * total)

@@ -26,13 +26,24 @@ two sensor series of v; k, y'' and v_xx are derived where they are read.
 The map takes its sensor rates as time derivatives of those series, so it
 forms no time derivative of a field.
 
+The iterate's field is held as sine coefficients of its rows, row 0 being
+the projected seam row.  In that basis the map does no transform: the
+sensor series are one product with two fixed modal vectors (the one-sided
+v_xx end values included), v_xx is -mu times the coefficients, the memory
+term convolves those, the forcing is assembled from projected profiles and
+the Dirichlet march is its three-level recurrence.  The iteration metric is
+``energy.modal_solution_norm``, a diagonal-plus-rank-6 form per row.  Only
+the seam row, which may have nonzero ends, is read in physical space, once
+per window, and the physical field is formed once per accepted window.
+
 Without a fixed ``window_steps`` the widths are chosen for cost.  On this
 Volterra system the Picard distances follow d_n = d_(n-1) c / n, with c
 proportional to the window width, so the map calls per window grow faster
 than its width.  The third map call of an attempt fits c; the attempt is
 abandoned for a window of half its width or less when that is predicted
 to cost fewer map calls per solved step, and each accepted window sizes
-the next one from its own fit.  An attempt that diverges or runs out of
+the next one from its own fit; a remainder of at most half that width
+joins the window when the sum stays within n0.  An attempt that diverges or runs out of
 ``max_iter`` is halved and retried, until half its width is below
 MIN_WINDOW_STEPS; as every retry at least halves it, retries are bounded.
 """
@@ -41,15 +52,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .direct import solve_linear_dirichlet, profiles
-from .energy import solution_norm
-from .equivalence import EquivSetup, build_setup, check_compatibility, sensor_functional
+from .direct import (_dirichlet_coefficients, _dirichlet_seed, _march_modes,
+                     profiles, solve_linear_dirichlet)
+from .energy import modal_solution_norm, solution_norm
+from .equivalence import (EquivSetup, build_setup, check_compatibility,
+                          sensor_functional, sensor_moment)
 from .errors import CompatibilityFailed, NoConvergence, NonFinite
-from .grids import quad_trapz, second_diff
+from .grids import _end_stencil_modes, _sine_modes, quad_trapz, second_diff
 from .timeconv import (Kernel, conv, conv_field, integrate_prefix, l2_time_norm,
                        time_derivative)
 
@@ -95,7 +110,7 @@ class InverseOptions:
 class IterState:
     """One Picard iterate on a window: field, kernel rate, and oscillator."""
 
-    v: np.ndarray  # (W+1, nx+2), zero at both space endpoints
+    vhat: np.ndarray  # (W+1, nx) sine coefficients; row 0 is the seam row's
     kprime: np.ndarray  # (W+1,)
     yccc: np.ndarray  # third displacement derivative on the window
 
@@ -106,7 +121,12 @@ class WindowData:
 
     The march continues the global one from ``u_before`` and ``u_tau``, the
     solved levels n0-1 and n0; window 0 has no ``u_before`` and takes the
-    Taylor start from the initial velocity.
+    Taylor start from the initial velocity.  ``seed`` is that start in sine
+    modes (``direct._dirichlet_seed``).  The seam row may have nonzero ends,
+    so its two sensor series values ``row0`` and its v_xx modes ``vxx0``
+    are taken on the physical row.  The ``vxx`` entries of the solved span
+    are sine coefficients; ``vxx_tail`` is the physical history tail that
+    the Picard seed's march reads.
     """
 
     pd_w: object  # ProblemData restricted to the window's time span
@@ -117,9 +137,14 @@ class WindowData:
     u_tau: np.ndarray
     u_before: np.ndarray | None
     f: np.ndarray  # (5, W+1) measurement derivative slices
+    modes: SimpleNamespace  # ``_map_modes``: the problem's, shared by every window
+    seed: tuple
+    row0: tuple  # (phi''' projection, linear part of G) of the seam row
+    vxx0: np.ndarray
     # the solved span (present when start > 0); see ``_solved_history``
     head: dict | None = None
     tails: dict | None = None
+    vxx_tail: np.ndarray | None = None
 
 
 @dataclass
@@ -127,8 +152,8 @@ class WindowDiagnostics:
     index: int
     start: int
     steps: int
-    iterations: int
-    distances: tuple
+    iterations: int  # map calls of the accepted attempt
+    distances: tuple  # the contraction record: floor-wobble steps dropped
     halvings: int
     norm_track: float
     contraction: float  # c fitted on the accepted attempt; 0 on a shorter record
@@ -150,15 +175,47 @@ class Reconstruction:
     setup: EquivSetup
 
 
-def _state_norm(v, kprime, grid_w):
-    """Iteration metric: the field in the H2-in-time surrogate plus the L2
-    time norm of the kernel rate."""
-    return solution_norm(v, grid_w) + l2_time_norm(kprime, grid_w.dt)
+@lru_cache(maxsize=8)
+def _map_modes(pd):
+    """The fixed modal vectors of the map on ``pd``'s grid, read-only.
+
+    ``sensor`` (2, nx): for a row with zero ends and coefficients w,
+    ``sensor @ w`` is its phi''' projection (a_proj = dx S phi''') and the part
+    of G linear in it: a_g is dx (-mu) (S psi) plus the trapezoid's halved
+    end weights psi(0), psi(ell) on the one-sided v_xx end stencils, over
+    psi(ell).  ``forcing`` (2, nx): ``[z'', k] @ forcing`` are the modes of
+    z'' x/ell - k u0''.  ``gain`` and ``c`` are the Dirichlet march's,
+    ``S`` and ``neg_mu`` (-mu) those of ``grids._sine_modes``.
+    """
+    grid, prof, psi = pd.grid, profiles(pd), sensor_moment(pd)
+    nx, dx = grid.nx, grid.dx
+    S, mu, _ = _sine_modes(nx, dx, pd.beta)
+    gain, c = _dirichlet_coefficients(pd)
+    sd0, sdl = _end_stencil_modes(nx, dx)[2:]
+    a_g = dx * (-mu) * (S @ psi[1:-1]) + 0.5 * dx * (psi[0] * sd0 + psi[-1] * sdl)
+    sensor = np.stack([dx * (S @ prof.phippp[1:-1]), a_g / psi[-1]])
+    forcing = _project(np.stack([grid.x / pd.ell, -prof.u0pp]), S)
+    modes = SimpleNamespace(S=S, neg_mu=-mu, gain=gain, c=c, sensor=sensor, forcing=forcing)
+    for a in vars(modes).values():
+        a.flags.writeable = False
+    return modes
+
+
+def _project(rows, S):
+    """Sine coefficients of the interior of physical rows."""
+    return (2.0 / (S.shape[0] + 1)) * (rows[..., 1:-1] @ S)
+
+
+def _state_norm(vhat, kprime, grid_w):
+    """Iteration metric: the modal field in the H2-in-time surrogate plus
+    the L2 time norm of the kernel rate."""
+    return modal_solution_norm(vhat, grid_w) + l2_time_norm(kprime, grid_w.dt)
 
 
 def state_distance(s1, s2, grid_w):
-    """Iteration metric of the difference of two iterates."""
-    return _state_norm(s1.v - s2.v, s1.kprime - s2.kprime, grid_w)
+    """Iteration metric of the difference of two iterates.  Both share the
+    seam row, so every row of the difference vanishes at both ends."""
+    return _state_norm(s1.vhat - s2.vhat, s1.kprime - s2.kprime, grid_w)
 
 
 def _window_memory(conv_fn, a_w, b_w, a, b, head, tails, dt):
@@ -177,21 +234,21 @@ def _window_memory(conv_fn, a_w, b_w, a, b, head, tails, dt):
     return conv_fn(da, head[b], dt) + conv_fn(head[a], db, dt) + tails[b]
 
 
-def _sensor_series(v, setup, prof, dx):
-    """A field's v_xx, its phi''' projection and the part of the boundary
-    functional G that is linear in v (G less f'/psi(ell))."""
-    vxx = second_diff(v, dx)
-    return vxx, quad_trapz(v * prof.phippp, dx), sensor_functional(setup, 0.0, vxx, dx)
+def _sensor_series(vhat, win):
+    """A modal iterate's phi''' projection and the part of the boundary
+    functional G that is linear in it (G less f'/psi(ell)); row 0 holds the
+    seam row's."""
+    proj, g_lin = win.modes.sensor @ vhat.T
+    proj[0], g_lin[0] = win.row0
+    return proj, g_lin
 
 
 def apply_map_A(state, win, setup, pd, vt_sign=1.0):
-    """One application of the fixed-point map on a window."""
-    grid_w = win.pd_w.grid
-    dt, dx = grid_w.dt, grid_w.dx
-    prof = profiles(pd)
+    """One application of the fixed-point map on a window, in sine modes."""
+    dt, W, modes = win.pd_w.grid.dt, win.steps, win.modes
 
-    v, kp_old = state.v, state.kprime
-    vxx, proj_v, g_lin = _sensor_series(v, setup, prof, dx)
+    vhat, kp_old = state.vhat, state.kprime
+    proj_v, g_lin = _sensor_series(vhat, win)
     proj_vt = time_derivative(proj_v, dt)
 
     hist = (win.head, win.tails, dt)  # the solved span, None on the first window
@@ -208,25 +265,36 @@ def apply_map_A(state, win, setup, pd, vt_sign=1.0):
     y2 = integrate_prefix(y3, win.y2_seam, dt)
     z2 = pd.p * y3 + pd.q * y2
 
+    vxx = vhat * modes.neg_mu
+    vxx[0] = win.vxx0
     mem_field = _window_memory(conv_field, k_new, vxx, "k", "vxx", *hist)
-    K = -np.outer(k_new, prof.u0pp) - mem_field + np.outer(z2, grid_w.x / pd.ell)
-    v_new = solve_linear_dirichlet(win.pd_w, win.u_tau, setup.v1row, K, win.u_before)
+    # the march reads the forcing of levels 0..W-1, scaled by its gain
+    vhat_new = np.empty_like(vhat)
+    vhat_new[0] = win.seed[0]
+    h = vhat_new[1:]
+    np.matmul(np.column_stack((z2[:W], k_new[:W])), modes.forcing, out=h)
+    h -= mem_field[:W]
+    h *= modes.gain
+    _march_modes(h, win.seed, modes.c)
 
-    if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(kp_new))):
+    if not (np.all(np.isfinite(vhat_new)) and np.all(np.isfinite(kp_new))):
         raise NonFinite("fixed-point map output")
-    return IterState(v=v_new, kprime=kp_new, yccc=y3)
+    return IterState(vhat=vhat_new, kprime=kp_new, yccc=y3)
 
 
 def _initial_state(win, setup, pd, kprime0=0.0):
-    """Picard seed: constant kernel at the seam value, flat kernel rate."""
+    """Picard seed: constant kernel at the seam value, flat kernel rate.
+    Its field is marched in physical space and projected."""
     prof = profiles(pd)
     W = win.steps
     kp = np.full(W + 1, kprime0)
     K = -win.k_seam * np.outer(np.ones(W + 1), prof.u0pp)
-    if win.start > 0:
-        K = K - win.tails["vxx"]
+    if win.vxx_tail is not None:
+        K -= win.vxx_tail
     v = solve_linear_dirichlet(win.pd_w, win.u_tau, setup.v1row, K, win.u_before)
-    return IterState(v=v, kprime=kp, yccc=np.zeros(W + 1))
+    vhat = _project(v, win.modes.S)
+    vhat[0] = win.seed[0]
+    return IterState(vhat=vhat, kprime=kp, yccc=np.zeros(W + 1))
 
 
 FLOOR_TOL = 1e-6  # stagnation below this relative level counts as the floor
@@ -299,13 +367,15 @@ def solve_window(win, setup, pd, tol=1e-10, max_iter=50, vt_sign=1.0,
     With scale = 1 + first-step distance, the window is accepted when the
     successive-iterate distance d falls to tol * scale, or when it is at or
     below the floor FLOOR_TOL * max(scale, s) and no longer halves
-    (d > 0.5 * previous d); s is the norm of the first map output.  The
-    metric contains doubled difference stencils, which amplify roundoff in
-    proportion to the iterate, so the geometric decay can bottom out on
-    that floor above the tolerance; the second clause stops there instead
-    of crawling along it.  The floor-noise steps are dropped from the
-    contraction record.  Raises ``NoConvergence`` if the iteration diverges
-    or the budget runs out (the caller then halves the window).
+    (d > 0.5 * previous d); s is the norm of the first map output.  A
+    metric of doubled difference stencils on physical fields amplifies
+    roundoff in proportion to the iterate, so its geometric decay bottomed
+    out on that floor above the tolerance; the modal metric decays to the
+    tolerance, and the second clause remains a guard.  Returns the state
+    and the distance of every map call; ``_trim_floor_wobble`` cuts any
+    floor-noise steps off that record.  Raises ``NoConvergence`` if the
+    iteration diverges or the budget runs out (the caller then halves the
+    window).
 
     After the PROBE_CALL-th map call the fitted profile picks the cheapest
     of this window's width and the ``ladder`` rungs below it (none for a
@@ -323,12 +393,12 @@ def solve_window(win, setup, pd, tol=1e-10, max_iter=50, vt_sign=1.0,
         state = new
         if it == 1:
             scale = 1.0 + d
-            floor = FLOOR_TOL * max(scale, _state_norm(new.v, new.kprime, grid_w))
+            floor = FLOOR_TOL * max(scale, _state_norm(new.vhat, new.kprime, grid_w))
         if not np.isfinite(d) or d > 1e4 * scale:
             raise NoConvergence(it, d / d_prev if it > 1 else np.inf,
                                 window=win.start, reason="diverged")
         if d <= tol * scale or (d <= floor and d > 0.5 * d_prev):
-            return state, _trim_floor_wobble(distances)
+            return state, distances
         if it == PROBE_CALL:
             steps = _cheapest_width(_contraction(distances) / win.steps, ladder,
                                     win.steps, max_iter)
@@ -371,26 +441,33 @@ def _solved_history(glob, k, n0, W, dt, dx):
 def _window_data(pd, setup, n0, W, glob=None):
     """Inputs of the window of W steps at node n0, reading its seams and the
     solved history from the solved span ``glob`` (unused when n0 == 0); the
-    seam values of k and y'' integrate its k' and y''' over nodes 0..n0."""
+    seam values of k and y'' integrate its k' and y''' over nodes 0..n0.
+    The solved span's v_xx head and tail are projected here, once."""
     grid = pd.grid
-    dt = grid.dt
+    dt, dx = grid.dt, grid.dx
     pd_w = replace(pd, T=W * dt, grid=grid.time_window(W))
     fslice = setup.f_derivs[:, n0 : n0 + W + 1]
+    modes, span = _map_modes(pd), {}
     if n0 == 0:
-        return WindowData(
-            pd_w=pd_w, start=0, steps=W, k_seam=setup.k0,
-            y2_seam=setup.y2prime0, u_tau=setup.v0row, u_before=None,
-            f=fslice,
-        )
-    hist = slice(0, n0 + 1)
-    k = integrate_prefix(glob["kp"][hist], setup.k0, dt)
-    y2 = integrate_prefix(glob["y3"][hist], setup.y2prime0, dt)
-    head, tails = _solved_history(glob, k, n0, W, dt, grid.dx)
-    v = glob["v"]
+        k_seam, y2_seam, u_tau, u_before = setup.k0, setup.y2prime0, setup.v0row, None
+    else:
+        hist = slice(0, n0 + 1)
+        k = integrate_prefix(glob["kp"][hist], setup.k0, dt)
+        y2 = integrate_prefix(glob["y3"][hist], setup.y2prime0, dt)
+        head, tails = _solved_history(glob, k, n0, W, dt, dx)
+        span = dict(head=head, tails=tails, vxx_tail=tails["vxx"])
+        head["vxx"] = _project(head["vxx"], modes.S)
+        tails["vxx"] = _project(tails["vxx"], modes.S)
+        v = glob["v"]
+        k_seam, y2_seam, u_tau, u_before = float(k[n0]), float(y2[n0]), v[n0], v[n0 - 1]
+    vxx0 = second_diff(u_tau, dx)
+    row0 = (float(quad_trapz(u_tau * profiles(pd).phippp, dx)),
+            float(sensor_functional(setup, 0.0, vxx0, dx)))
     return WindowData(
-        pd_w=pd_w, start=n0, steps=W, k_seam=float(k[n0]),
-        y2_seam=float(y2[n0]), u_tau=v[n0], u_before=v[n0 - 1],
-        f=fslice, head=head, tails=tails,
+        pd_w=pd_w, start=n0, steps=W, k_seam=k_seam, y2_seam=y2_seam,
+        u_tau=u_tau, u_before=u_before, f=fslice, modes=modes,
+        seed=_dirichlet_seed(pd_w, u_tau, setup.v1row, u_before), row0=row0,
+        vxx0=_project(vxx0, modes.S), **span,
     )
 
 
@@ -407,8 +484,7 @@ def reconstruct(pd, f, options=InverseOptions()):
         raise CompatibilityFailed(report)
 
     grid = pd.grid
-    nt, nx, dt, dx = grid.nt, grid.nx, grid.dt, grid.dx
-    prof = profiles(pd)
+    nt, nx, dt = grid.nt, grid.nx, grid.dt
 
     glob = {name: np.zeros(nt + 1) for name in ("kp", "y3", "proj", "gfun")}
     glob["v"] = np.zeros((nt + 1, nx + 2))
@@ -425,13 +501,16 @@ def reconstruct(pd, f, options=InverseOptions()):
     prev_track = None
     while n0 < nt:
         W = min(width, nt - n0)
-        if nt - n0 - W == 1:
+        rest = nt - n0 - W
+        if adaptive and 2 * rest <= W and W + rest <= n0:
+            W += rest  # fold a short tail into this window
+        elif rest == 1:
             W -= 1  # a one-step tail has no time grid; leave two steps
         retries = []
         while True:
             win = _window_data(pd, setup, n0, W, glob)
             try:
-                state, distances = solve_window(
+                state, record = solve_window(
                     win, setup, pd, tol=options.tol, max_iter=options.max_iter,
                     vt_sign=options.vt_sign, initial_kprime=options.initial_kprime,
                     ladder=ladder,
@@ -445,6 +524,7 @@ def reconstruct(pd, f, options=InverseOptions()):
                     raise
                 W //= 2
                 retries.append(exc.reason)
+        distances = _trim_floor_wobble(record)
         contraction = _contraction(distances)
         if adaptive:
             # W <= n0 keeps increment x increment off the window's rows
@@ -452,18 +532,20 @@ def reconstruct(pd, f, options=InverseOptions()):
         else:
             width = W  # never grow back: keeps every window within the solved span
 
-        # write the rows the window solved; its seam belongs to the span before
+        # write the rows the window solved; its seam belongs to the span
+        # before, except on window 0, whose seam row is v0row verbatim
         new = slice(0 if n0 == 0 else 1, W + 1)
         rows = slice(n0 + new.start, n0 + W + 1)
-        v = state.v[new]
-        _, proj, g_lin = _sensor_series(v, setup, prof, dx)
-        glob["v"][rows] = v
-        glob["proj"][rows] = proj
-        glob["gfun"][rows] = win.f[1][new] / setup.psi_ell + g_lin
+        v_w = glob["v"][n0 : n0 + W + 1]
+        np.matmul(state.vhat[1:], win.modes.S, out=v_w[1:, 1:-1])
+        v_w[0] = win.u_tau
+        proj, g_lin = _sensor_series(state.vhat, win)
+        glob["proj"][rows] = proj[new]
+        glob["gfun"][rows] = win.f[1][new] / setup.psi_ell + g_lin[new]
         glob["kp"][rows] = state.kprime[new]
         glob["y3"][rows] = state.yccc[new]
 
-        track = _state_norm(state.v, state.kprime, win.pd_w.grid)
+        track = solution_norm(v_w, win.pd_w.grid) + l2_time_norm(state.kprime, dt)
         if prev_track is not None and track > NORM_TRACK_BOUND * prev_track:
             warnings.warn(
                 f"window norm grew from {prev_track:.3g} to {track:.3g}, "
@@ -474,7 +556,7 @@ def reconstruct(pd, f, options=InverseOptions()):
         windows.append(
             WindowDiagnostics(
                 index=len(windows), start=n0, steps=W,
-                iterations=len(distances), distances=tuple(distances),
+                iterations=len(record), distances=tuple(distances),
                 halvings=len(retries), norm_track=track,
                 contraction=contraction, retries=tuple(retries),
             )

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import make_problem
 from memkernel.direct import solve_linear_dirichlet
-from memkernel.energy import energy_series, solution_norm
-from memkernel.grids import Grid, spatial_h2_norm
+from memkernel.energy import energy_series, modal_solution_norm, solution_norm
+from memkernel.grids import Grid, _sine_matrix, spatial_h2_norm
 from verify import (
     CALIBRATED_BOUND,
     calibrate_constant,
@@ -115,23 +115,56 @@ def test_solution_norm_matches_hand_value():
     assert n == pytest.approx(exact, rel=2e-3)
 
 
+def _smooth_field(rng, rows, nx, T):
+    # smooth in x and t, with O(1) values, slopes and curvatures at both ends
+    x, t = np.linspace(0.0, 1.0, nx + 2), np.linspace(0.0, T, rows)
+    a = rng.uniform(-1.0, 1.0, (3, 6))
+    return sum(np.outer(np.cos((m + 1) * t + a[m, 0]),
+                        a[m, 1] + a[m, 2] * x + a[m, 3] * np.cos(3 * x + a[m, 4])
+                        + np.exp(a[m, 5] * x))
+               for m in range(3))
+
+
 @settings(max_examples=60, deadline=None)
-@example(rows=1201, nx=100, scale=1.0, seed=0)
-@example(rows=101, nx=160, scale=1.0, seed=1)
-@example(rows=401, nx=100, scale=1e-12, seed=2)
+@example(rows=1201, nx=100, scale=1.0, seed=0, smooth=False)
+@example(rows=101, nx=160, scale=1.0, seed=1, smooth=False)
+@example(rows=401, nx=100, scale=1e-12, seed=2, smooth=False)
+@example(rows=201, nx=100, scale=1.0, seed=3, smooth=True)
 @given(rows=st.integers(3, 300), nx=st.integers(3, 200),
-       scale=st.sampled_from((1.0, 1e-12)), seed=st.integers(0, 2**32 - 1))
-def test_solution_norm_matches_full_field_reference(rows, nx, scale, seed):
+       scale=st.sampled_from((1.0, 1e-12)), seed=st.integers(0, 2**32 - 1),
+       smooth=st.just(False))
+def test_solution_norm_matches_full_field_reference(rows, nx, scale, seed, smooth):
     # rows = W + 1 time levels of a window; 1e-12 is the size of iterate
-    # differences near the roundoff floor.  Every part of the norm is a sum
-    # of squares, so the one-pass sums may differ from the reference only
-    # in rounding, relative to the norm itself.
+    # differences near the roundoff floor.  The reference sums the squares
+    # of the difference stencils; the library takes the same quadratic form
+    # in sine coefficients after lifting off each row's end values, so the
+    # two may differ only in rounding, relative to the norm itself.  Smooth
+    # rows with nonzero ends are where a form without that lift cancels.
     rng = np.random.default_rng(seed)
     grid = Grid(ell=1.0, T=rng.uniform(0.1, 4.0), nx=nx, nt=rows - 1)
-    v = scale * rng.standard_normal((rows, nx + 2))
+    if smooth:
+        v = scale * _smooth_field(rng, rows, nx, grid.T)
+    else:
+        v = scale * rng.standard_normal((rows, nx + 2))
     ref = reference_solution_norm(v, grid)
     assert abs(solution_norm(v, grid) - ref) <= 1e-13 * ref
     row_norm = spatial_h2_norm(v[0], grid.dx)
     row_ref = reference_spatial_h2_norm(v[0], grid.dx)
     assert np.ndim(row_norm) == 0
     assert abs(row_norm - row_ref) <= 1e-13 * row_ref
+
+
+@settings(max_examples=40, deadline=None)
+@example(rows=3, nx=3, seed=0)
+@example(rows=801, nx=160, seed=1)
+@given(rows=st.integers(3, 300), nx=st.integers(3, 200), seed=st.integers(0, 2**32 - 1))
+def test_modal_norm_is_the_norm_of_the_field(rows, nx, seed):
+    # the iteration metric takes the norm of rows with zero ends from their
+    # sine coefficients; it must be the full-field norm of those rows
+    rng = np.random.default_rng(seed)
+    grid = Grid(ell=1.0, T=rng.uniform(0.1, 4.0), nx=nx, nt=rows - 1)
+    v = np.zeros((rows, nx + 2))
+    v[:, 1:-1] = rng.standard_normal((rows, nx))
+    v_hat = (2.0 / (nx + 1)) * (v[:, 1:-1] @ _sine_matrix(nx))
+    ref = reference_solution_norm(v, grid)
+    assert abs(modal_solution_norm(v_hat, grid) - ref) <= 1e-13 * ref

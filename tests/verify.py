@@ -14,9 +14,11 @@ library's trapezoid convolution, ``reference_solution_norm`` is the
 iteration metric built from the full difference fields,
 ``reference_derivative_stack`` is the derivative fit that fits every
 candidate degree before it picks one, ``reference_sensor_rates`` takes
-the fixed-point map's two sensor rates on the fields v_t and v_xxt, and
+the fixed-point map's two sensor rates on the fields v_t and v_xxt,
 ``reference_solve_direct`` is the direct march in physical space: one
-dispersive solve and one acoustic closure per step.
+dispersive solve and one acoustic closure per step, and
+``reference_apply_map_A`` is the fixed-point map on physical fields, with
+one Dirichlet march (projection and transform back) per call.
 """
 
 import numpy as np
@@ -32,6 +34,7 @@ from memkernel.direct import (
 )
 from memkernel.energy import solution_norm
 from memkernel.equivalence import sensor_functional
+from memkernel.inverse import _window_memory
 from memkernel.errors import NonFinite
 from memkernel.grids import (
     DispersiveInverse,
@@ -411,3 +414,43 @@ def reference_solve_direct(pd, kernel, forcing=None, flux_forcing=None):
     if not np.all(np.isfinite(u)):
         raise NonFinite("direct marching")
     return DirectSolution(u=u, y=y, yprime=yp, f=overdetermination(pd, u))
+
+
+def reference_apply_map_A(v, kprime, win, setup, pd, vt_sign=1.0):
+    """``memkernel.inverse.apply_map_A`` on a physical field iterate ``v``
+    ((W+1, nx+2), row 0 the seam row): v_xx by ``second_diff``, the sensor
+    series by quadrature, the forcing on the nodes and one
+    ``solve_linear_dirichlet``.  ``win.head``/``win.tails`` must hold the
+    physical v_xx history of ``inverse._solved_history``.  Returns the new
+    v, k' and y'''."""
+    grid_w = win.pd_w.grid
+    dt, dx = grid_w.dt, grid_w.dx
+    prof = profiles(pd)
+
+    kp_old = kprime
+    vxx = second_diff(v, dx)
+    proj_v = quad_trapz(v * prof.phippp, dx)
+    g_lin = sensor_functional(setup, 0.0, vxx, dx)
+    proj_vt = time_derivative(proj_v, dt)
+
+    hist = (win.head, win.tails, dt)  # the solved span, None on the first window
+    mem_proj = _window_memory(conv, kp_old, proj_v, "kp", "proj", *hist)
+    kp_new = setup.alpha * (
+        win.f[4] + vt_sign * proj_vt - setup.k0 * proj_v - mem_proj
+    )
+    k_new = integrate_prefix(kp_new, win.k_seam, dt)
+
+    g_of_v = win.f[1] / setup.psi_ell + g_lin
+    gp_of_v = win.f[2] / setup.psi_ell + time_derivative(g_lin, dt)
+    mem_g = _window_memory(conv, kp_old, g_of_v, "kp", "gfun", *hist)
+    y3 = gp_of_v - kp_new * setup.ghat_u0 - setup.k0 * g_of_v - mem_g
+    y2 = integrate_prefix(y3, win.y2_seam, dt)
+    z2 = pd.p * y3 + pd.q * y2
+
+    mem_field = _window_memory(conv_field, k_new, vxx, "k", "vxx", *hist)
+    K = -np.outer(k_new, prof.u0pp) - mem_field + np.outer(z2, grid_w.x / pd.ell)
+    v_new = solve_linear_dirichlet(win.pd_w, win.u_tau, setup.v1row, K, win.u_before)
+
+    if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(kp_new))):
+        raise NonFinite("fixed-point map output")
+    return v_new, kp_new, y3
