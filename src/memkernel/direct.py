@@ -347,10 +347,12 @@ def _march_modes(h, seed, c):
     w0, taper, offset = seed
     h[0] *= taper
     h[0] += offset
-    prev = w0
-    for n in range(1, h.shape[0]):
-        h[n] += c * h[n - 1] - prev
-        prev = h[n - 1]
+    prev, tmp = w0, np.empty(h.shape[1:])  # one temporary for every step
+    for cur, nxt in zip(h, h[1:]):
+        np.multiply(c, cur, out=tmp)
+        tmp -= prev
+        nxt += tmp
+        prev = cur
 
 
 def solve_linear_dirichlet(pd, v0row, v1row, K, prev_row=None):

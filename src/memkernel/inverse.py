@@ -19,12 +19,16 @@ Its Dirichlet march continues the global one from the two solved levels
 n0-1 and n0; only the first window takes the Taylor start.  Its memory
 terms are rows n0..n0+W of the global trapezoid convolutions.
 Each series splits into its solved history (zero past the seam node n0)
-and the window's increment (zero at the seam).  The history x history part
-is computed once per window; each Picard step convolves the increments
-with the other series' history.  The solved span keeps v, k', y''' and the
-two sensor series of v; k, y'' and v_xx are derived where they are read.
-The map takes its sensor rates as time derivatives of those series, so it
-forms no time derivative of a field.
+and the window's increment (zero at the seam).  What reads only the solved
+span is built once per window (``_solved_history``): the history x history
+tails and the convolution matrices of the heads of k, k' and the two sensor
+series.  A Picard step takes the two sensor series as one (W+1, 2) block,
+with one time derivative and one memory product of those matrices with the
+increments; the field memory builds the call's one convolution matrix, the
+kernel's increment against the v_xx head.  The solved span keeps v, k',
+y''' and the two sensor series of v; k, y'' and v_xx are derived where
+they are read.  The map takes its sensor rates as time derivatives of
+those series, so it forms no time derivative of a field.
 
 The iterate's field is held as sine coefficients of its rows, row 0 being
 the projected seam row.  In that basis the map does no transform: the
@@ -65,8 +69,8 @@ from .equivalence import (EquivSetup, build_setup, check_compatibility,
                           sensor_functional, sensor_moment)
 from .errors import CompatibilityFailed, NoConvergence, NonFinite
 from .grids import _end_stencil_modes, _sine_modes, quad_trapz, second_diff
-from .timeconv import (Kernel, conv, conv_field, integrate_prefix, l2_time_norm,
-                       time_derivative)
+from .timeconv import (Kernel, conv, conv_field, convolution_matrix, integrate_prefix,
+                       l2_time_norm, time_derivative)
 
 __all__ = [
     "InverseOptions",
@@ -104,6 +108,10 @@ class InverseOptions:
             raise ValueError("window_steps must be at least 1")
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError("noise_sigma must be finite and non-negative")
+        if self.vt_sign not in (1.0, -1.0):
+            raise ValueError("vt_sign must be +1 or -1")
+        if not np.isfinite(self.initial_kprime):
+            raise ValueError("initial_kprime must be finite")
 
 
 @dataclass
@@ -124,9 +132,13 @@ class WindowData:
     Taylor start from the initial velocity.  ``seed`` is that start in sine
     modes (``direct._dirichlet_seed``).  The seam row may have nonzero ends,
     so its two sensor series values ``row0`` and its v_xx modes ``vxx0``
-    are taken on the physical row.  The ``vxx`` entries of the solved span
-    are sine coefficients; ``vxx_tail`` is the physical history tail that
-    the Picard seed's march reads.
+    are taken on the physical row.  ``hist`` holds the memory operators of
+    the solved span, built once per window and read-only: the convolution
+    matrices ``k`` and ``kp`` of the kernel's and the rate's head, the
+    stacked matrix ``series`` of the two sensor series' heads, the (W+1, 2)
+    ``series_tail``, and the v_xx head and tail ``vxx``, ``vxx_tail`` in
+    sine coefficients (see ``_solved_history``).  ``vxx_tail`` is the
+    physical v_xx tail that the Picard seed's march reads.
     """
 
     pd_w: object  # ProblemData restricted to the window's time span
@@ -142,8 +154,7 @@ class WindowData:
     row0: tuple  # (phi''' projection, linear part of G) of the seam row
     vxx0: np.ndarray
     # the solved span (present when start > 0); see ``_solved_history``
-    head: dict | None = None
-    tails: dict | None = None
+    hist: SimpleNamespace | None = None
     vxx_tail: np.ndarray | None = None
 
 
@@ -195,10 +206,15 @@ def _map_modes(pd):
     a_g = dx * (-mu) * (S @ psi[1:-1]) + 0.5 * dx * (psi[0] * sd0 + psi[-1] * sdl)
     sensor = np.stack([dx * (S @ prof.phippp[1:-1]), a_g / psi[-1]])
     forcing = _project(np.stack([grid.x / pd.ell, -prof.u0pp]), S)
-    modes = SimpleNamespace(S=S, neg_mu=-mu, gain=gain, c=c, sensor=sensor, forcing=forcing)
-    for a in vars(modes).values():
+    return _read_only(SimpleNamespace(S=S, neg_mu=-mu, gain=gain, c=c, sensor=sensor,
+                                      forcing=forcing))
+
+
+def _read_only(arrays):
+    """A namespace of arrays, each made read-only."""
+    for a in vars(arrays).values():
         a.flags.writeable = False
-    return modes
+    return arrays
 
 
 def _project(rows, S):
@@ -218,29 +234,41 @@ def state_distance(s1, s2, grid_w):
     return _state_norm(s1.vhat - s2.vhat, s1.kprime - s2.kprime, grid_w)
 
 
-def _window_memory(conv_fn, a_w, b_w, a, b, head, tails, dt):
-    """Rows n0..n0+W of the global trapezoid convolution (a * b).
+def _series_memory(kp, series, hist, dt):
+    """Rows n0..n0+W of the global trapezoid convolutions of k' with the two
+    sensor series, a (W+1, 2) block; ``kp`` and ``series`` are the window's
+    iterates.  The first window (``hist`` None) convolves them directly;
+    later ones apply ``_solved_history``'s operators to the increments, the
+    iterates past the seam row."""
+    if hist is None:
+        return np.column_stack([conv(kp, s, dt) for s in series.T])
+    out = hist.kp[:, 1:] @ series[1:]
+    out += (hist.series[:, 1:] @ kp[1:]).reshape(-1, 2)
+    out += hist.series_tail
+    return out
 
-    ``a_w``, ``b_w`` are the window's iterates of the series ``a``, ``b``.
-    The first window (``tails`` None) convolves them directly.  Later ones
-    add to the history x history part ``tails[b]`` each increment (the
-    iterate with its seam entry zeroed) convolved with the other series'
-    ``head``; increment x increment vanishes on these rows as W <= n0.
-    """
-    if tails is None:
-        return conv_fn(a_w, b_w, dt)
-    da, db = np.array(a_w, dtype=float), np.array(b_w, dtype=float)
-    da[0] = db[0] = 0.0
-    return conv_fn(da, head[b], dt) + conv_fn(head[a], db, dt) + tails[b]
+
+def _field_memory(k, vxx, hist, dt):
+    """Rows n0..n0+W of the global trapezoid convolution of k with v_xx,
+    split as in ``_series_memory``; on a later window the kernel's
+    increment against the v_xx head is the call's one convolution matrix."""
+    if hist is None:
+        return conv_field(k, vxx, dt)
+    dk = k.copy()
+    dk[0] = 0.0
+    out = conv_field(dk, hist.vxx, dt)
+    out += hist.k[:, 1:] @ vxx[1:]
+    out += hist.vxx_tail
+    return out
 
 
 def _sensor_series(vhat, win):
-    """A modal iterate's phi''' projection and the part of the boundary
-    functional G that is linear in it (G less f'/psi(ell)); row 0 holds the
-    seam row's."""
-    proj, g_lin = win.modes.sensor @ vhat.T
-    proj[0], g_lin[0] = win.row0
-    return proj, g_lin
+    """A modal iterate's two sensor series as a (W+1, 2) block: its phi'''
+    projection and the part of the boundary functional G that is linear in
+    it (G less f'/psi(ell)); row 0 holds the seam row's."""
+    series = vhat @ win.modes.sensor.T
+    series[0] = win.row0
+    return series
 
 
 def apply_map_A(state, win, setup, pd, vt_sign=1.0):
@@ -248,26 +276,25 @@ def apply_map_A(state, win, setup, pd, vt_sign=1.0):
     dt, W, modes = win.pd_w.grid.dt, win.steps, win.modes
 
     vhat, kp_old = state.vhat, state.kprime
-    proj_v, g_lin = _sensor_series(vhat, win)
-    proj_vt = time_derivative(proj_v, dt)
+    # the phi''' projection and G of v as one block, with its rates and memory
+    series = _sensor_series(vhat, win)
+    rates = time_derivative(series, dt)
+    series[:, 1] += win.f[1] / setup.psi_ell
+    rates[:, 1] += win.f[2] / setup.psi_ell
+    mem = _series_memory(kp_old, series, win.hist, dt)
+    (proj_v, g_of_v), (proj_vt, gp_of_v), (mem_proj, mem_g) = series.T, rates.T, mem.T
 
-    hist = (win.head, win.tails, dt)  # the solved span, None on the first window
-    mem_proj = _window_memory(conv, kp_old, proj_v, "kp", "proj", *hist)
     kp_new = setup.alpha * (
         win.f[4] + vt_sign * proj_vt - setup.k0 * proj_v - mem_proj
     )
     k_new = integrate_prefix(kp_new, win.k_seam, dt)
-
-    g_of_v = win.f[1] / setup.psi_ell + g_lin
-    gp_of_v = win.f[2] / setup.psi_ell + time_derivative(g_lin, dt)
-    mem_g = _window_memory(conv, kp_old, g_of_v, "kp", "gfun", *hist)
     y3 = gp_of_v - kp_new * setup.ghat_u0 - setup.k0 * g_of_v - mem_g
     y2 = integrate_prefix(y3, win.y2_seam, dt)
     z2 = pd.p * y3 + pd.q * y2
 
     vxx = vhat * modes.neg_mu
     vxx[0] = win.vxx0
-    mem_field = _window_memory(conv_field, k_new, vxx, "k", "vxx", *hist)
+    mem_field = _field_memory(k_new, vxx, win.hist, dt)
     # the march reads the forcing of levels 0..W-1, scaled by its gain
     vhat_new = np.empty_like(vhat)
     vhat_new[0] = win.seed[0]
@@ -409,40 +436,52 @@ def solve_window(win, setup, pd, tol=1e-10, max_iter=50, vt_sign=1.0,
 
 
 def _solved_history(glob, k, n0, W, dt, dx):
-    """What a window of W <= n0 steps at n0 > 0 needs of the solved span,
-    given the kernel ``k`` over nodes 0..n0.
+    """The memory operators of a window of W <= n0 steps at n0 > 0, built
+    from the solved span given the kernel ``k`` over nodes 0..n0.
 
-    ``head``: the series over nodes 0..W, read-only; ``vxx`` is v's
-    ``second_diff``.  ``tails``: rows n0..n0+W of the global convolution of
-    each kernel's history (zero past n0) with the series' history, keyed by
-    the series: ``proj`` and ``gfun`` against ``kp``, ``vxx`` against ``k``.
-    Time convolution and spatial stencil act on different axes, so the
-    ``vxx`` tail is the ``second_diff`` of v's.  For it only the (W+1) x
-    (n0+1) block of the convolution matrix that these rows read is built:
-    row i is dt*k[n0-m+i] over columns m >= i, row 0's end weights halved.
+    Rows n0..n0+W of a global trapezoid convolution a * b split by each
+    series into its history (zero past n0) and the window's increment (zero
+    at the seam): history x history is the tail, and each increment meets
+    the other series' head (nodes 0..W); increment x increment vanishes on
+    these rows as W <= n0.  The convolution is symmetric, so a head acts on
+    an increment as its convolution matrix.  Returns, as a namespace:
+    ``k`` and ``kp``, the matrices of the heads of k and k'; ``series``,
+    those of the heads of ``proj`` and ``gfun`` stacked so that
+    ``(series @ dkp).reshape(W + 1, 2)`` is their block; ``series_tail``,
+    the (W+1, 2) tails of both against k'; ``vxx`` and ``vxx_tail``, the
+    head of v's ``second_diff`` and the tail of k * v_xx.  Time convolution
+    and spatial stencil act on different axes, so that tail is the
+    ``second_diff`` of k * v's.  For it only the (W+1) x (n0+1) block of
+    the convolution matrix that these rows read is built: row i is
+    dt*k[n0-m+i] over columns m >= i, row 0's end weights halved.
     """
-    head = {name: glob[name][: W + 1] for name in ("kp", "proj", "gfun")}
-    head.update(k=k[: W + 1], vxx=second_diff(glob["v"][: W + 1], dx))
-    for view in head.values():
-        view.flags.writeable = False
     hist = slice(0, n0 + 1)
-    tails = {}
+    kp, series = np.zeros(n0 + W + 1), np.zeros(n0 + W + 1)
+    kp[hist] = glob["kp"][hist]
+    tails = []
     for name in ("proj", "gfun"):
-        kp, series = np.zeros(n0 + W + 1), np.zeros(n0 + W + 1)
-        kp[hist], series[hist] = glob["kp"][hist], glob[name][hist]
-        tails[name] = conv(kp, series, dt)[n0:]
+        series[hist] = glob[name][hist]
+        tails.append(conv(kp, series, dt)[n0:])
     lags = np.concatenate((np.zeros(W), dt * k[n0::-1]))
     block = sliding_window_view(lags, n0 + 1)[::-1].copy()
     block[0, [0, n0]] *= 0.5
-    tails["vxx"] = second_diff(block @ glob["v"][hist], dx)
-    return head, tails
+    heads = [convolution_matrix(glob[name][: W + 1], dt) for name in ("proj", "gfun")]
+    return SimpleNamespace(
+        k=convolution_matrix(k[: W + 1], dt),
+        kp=convolution_matrix(glob["kp"][: W + 1], dt),
+        series=np.stack(heads, axis=1).reshape(2 * (W + 1), W + 1),
+        series_tail=np.column_stack(tails),
+        vxx=second_diff(glob["v"][: W + 1], dx),
+        vxx_tail=second_diff(block @ glob["v"][hist], dx),
+    )
 
 
 def _window_data(pd, setup, n0, W, glob=None):
     """Inputs of the window of W steps at node n0, reading its seams and the
     solved history from the solved span ``glob`` (unused when n0 == 0); the
     seam values of k and y'' integrate its k' and y''' over nodes 0..n0.
-    The solved span's v_xx head and tail are projected here, once."""
+    The solved span's memory operators are built here, once, with the v_xx
+    head and tail projected."""
     grid = pd.grid
     dt, dx = grid.dt, grid.dx
     pd_w = replace(pd, T=W * dt, grid=grid.time_window(W))
@@ -454,10 +493,11 @@ def _window_data(pd, setup, n0, W, glob=None):
         hist = slice(0, n0 + 1)
         k = integrate_prefix(glob["kp"][hist], setup.k0, dt)
         y2 = integrate_prefix(glob["y3"][hist], setup.y2prime0, dt)
-        head, tails = _solved_history(glob, k, n0, W, dt, dx)
-        span = dict(head=head, tails=tails, vxx_tail=tails["vxx"])
-        head["vxx"] = _project(head["vxx"], modes.S)
-        tails["vxx"] = _project(tails["vxx"], modes.S)
+        ops = _read_only(_solved_history(glob, k, n0, W, dt, dx))
+        span = dict(hist=ops, vxx_tail=ops.vxx_tail)
+        ops.vxx = _project(ops.vxx, modes.S)
+        ops.vxx_tail = _project(ops.vxx_tail, modes.S)
+        _read_only(ops)
         v = glob["v"]
         k_seam, y2_seam, u_tau, u_before = float(k[n0]), float(y2[n0]), v[n0], v[n0 - 1]
     vxx0 = second_diff(u_tau, dx)
@@ -539,9 +579,9 @@ def reconstruct(pd, f, options=InverseOptions()):
         v_w = glob["v"][n0 : n0 + W + 1]
         np.matmul(state.vhat[1:], win.modes.S, out=v_w[1:, 1:-1])
         v_w[0] = win.u_tau
-        proj, g_lin = _sensor_series(state.vhat, win)
-        glob["proj"][rows] = proj[new]
-        glob["gfun"][rows] = win.f[1][new] / setup.psi_ell + g_lin[new]
+        series = _sensor_series(state.vhat, win)
+        glob["proj"][rows] = series[new, 0]
+        glob["gfun"][rows] = win.f[1][new] / setup.psi_ell + series[new, 1]
         glob["kp"][rows] = state.kprime[new]
         glob["y3"][rows] = state.yccc[new]
 
@@ -562,6 +602,9 @@ def reconstruct(pd, f, options=InverseOptions()):
             )
         )
         n0 += W
+        # free this window's operators and iterate before the next window
+        # builds its own, so that two windows' data are never held at once
+        del win, state
 
     kernel = Kernel.from_kprime(glob["kp"], setup.k0, dt)
     y2 = integrate_prefix(glob["y3"], setup.y2prime0, dt)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Kernel",
@@ -90,11 +89,14 @@ def convolution_matrix(k, dt):
     """
     k = np.asarray(k, dtype=float)
     n = k.shape[0]
-    # row i of the reversed windows of (0, ..., 0, dt*k) is dt*k[i], ..., dt*k[0],
-    # 0, ...; scaling the n samples rather than the n^2 entries gives the same
-    # bits, because the halvings below are exact
-    dtk = dt * k
-    w = sliding_window_view(np.concatenate((np.zeros(n - 1), dtk)), n)[:, ::-1].copy()
+    # (0, ..., 0, dt*k) read from its sample n-1 with strides (+1, -1) has row
+    # i dt*k[i], ..., dt*k[0], 0, ...; scaling the n samples rather than the
+    # n^2 entries gives the same bits, because the halvings below are exact
+    padded = np.zeros(2 * n - 1)
+    np.multiply(dt, k, out=padded[n - 1 :])
+    step = padded.strides[0]
+    w = np.ndarray((n, n), buffer=padded, offset=(n - 1) * step,
+                   strides=(step, -step)).copy()
     w[:, 0] *= 0.5
     w.flat[:: n + 1] *= 0.5  # the diagonal
     w[0, 0] = 0.0

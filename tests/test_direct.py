@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from banded_march import banded_march
 from conftest import make_problem
 from memkernel.direct import (
+    _dirichlet_coefficients,
+    _dirichlet_seed,
+    _march_modes,
     overdetermination,
     profiles,
     solve_direct,
@@ -20,6 +23,7 @@ from memkernel.timeconv import Kernel
 from verify import (
     equivalent_residual,
     overdetermination_flux_form,
+    reference_march_modes,
     reference_solve_direct,
     residual_interior_norm,
     transform_to_v,
@@ -264,6 +268,29 @@ def test_seeded_march_continues_the_global_march(nx, nt, beta, cfl, seed, cut, w
     win = solve_linear_dirichlet(pd_w, v[n0], None, K[rows], prev_row=v[n0 - 1])
     assert np.array_equal(win[0], v[n0])
     assert np.max(np.abs(win - v[rows])) <= 1e-12 * np.max(np.abs(v))
+
+
+@settings(max_examples=40, deadline=None)
+@example(nx=3, nt=2, beta=0.1, cfl=0.5, seed=0, continued=False)
+@example(nx=3, nt=2, beta=0.1, cfl=0.5, seed=0, continued=True)
+@given(
+    nx=st.integers(3, 40),
+    nt=st.integers(2, 40),
+    beta=st.floats(1e-3, 2.0),
+    cfl=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+    continued=st.booleans(),
+)
+def test_modal_march_equals_the_plain_loop_bit_for_bit(nx, nt, beta, cfl, seed, continued):
+    # the in-place recurrence does each entry's IEEE operations in the plain
+    # loop's order, from the Taylor seed or from a solved level before
+    pd, v0, v1, K = _random_march_case(nx, nt, beta, cfl, seed)
+    gain, c = _dirichlet_coefficients(pd)
+    start = _dirichlet_seed(pd, v0, v1, K[0] if continued else None)
+    h = (K[:nt, 1:-1] * gain).copy()
+    ref = reference_march_modes(h, start, c)
+    _march_modes(h, start, c)
+    assert np.array_equal(h, ref)
 
 
 def test_cached_arrays_are_read_only():

@@ -1,5 +1,4 @@
 import functools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,15 +19,17 @@ from memkernel.inverse import (
     reconstruct,
     solve_window,
     state_distance,
+    _field_memory,
     _initial_state,
     _project,
+    _series_memory,
     _solved_history,
     _window_data,
-    _window_memory,
 )
 from memkernel.timeconv import (Kernel, conv, conv_field, convolution_matrix,
                                 integrate_prefix, l2_time_norm)
-from verify import reference_apply_map_A, reference_sensor_rates, transform_to_v
+from verify import (reference_apply_map_A, reference_sensor_rates,
+                    reference_solved_history, transform_to_v)
 
 PI = repr(np.pi)
 TWIN_KW = dict(phi=f"sin({PI}*x)^3", u0=f"sin({2 * np.pi}*x)", u1="0*x")
@@ -67,10 +68,10 @@ def physical_field(vhat, win):
 def test_window_memory_is_a_slice_of_the_global_convolution(W, extra, width, seed):
     # random series and fields on the whole span; the window at n0 >= W
     # sees nodes 0..n0 as solved history and its own nodes n0..n0+W as
-    # iterates, and must reproduce rows n0..n0+W of the global conv and of
-    # conv_field(k, second_diff(v)).  The split sums round differently from
-    # the global ones, so the bound is relative to |M| @ |g|, M the
-    # convolution matrix.
+    # iterates, and its memory operators must reproduce rows n0..n0+W of the
+    # global conv and of conv_field(k, second_diff(v)).  The split sums
+    # round differently from the global ones, so the bound is relative to
+    # |M| @ |g|, M the convolution matrix.
     rng = np.random.default_rng(seed)
     n0 = W + extra
     n = n0 + W + 1
@@ -78,13 +79,14 @@ def test_window_memory_is_a_slice_of_the_global_convolution(W, extra, width, see
     glob = {name: rng.standard_normal(n) for name in ("kp", "proj", "gfun")}
     glob["v"] = rng.standard_normal((n, width + 3))  # second_diff needs 4 nodes
     k = rng.standard_normal(n)
-    head, tails = _solved_history(glob, k[: n0 + 1], n0, W, dt, dx)
+    hist = _solved_history(glob, k[: n0 + 1], n0, W, dt, dx)
     series = dict(glob, k=k, vxx=second_diff(glob["v"], dx))
     rows = slice(n0, n)
-    for conv_fn, a, b in ((conv, "kp", "proj"), (conv, "kp", "gfun"),
-                          (conv_field, "k", "vxx")):
-        mem = _window_memory(conv_fn, series[a][rows], series[b][rows], a, b,
-                             head, tails, dt)
+    block = np.column_stack((glob["proj"], glob["gfun"]))[rows]
+    mem_proj, mem_g = _series_memory(glob["kp"][rows], block, hist, dt).T
+    mem_field = _field_memory(k[rows], series["vxx"][rows], hist, dt)
+    for mem, conv_fn, a, b in ((mem_proj, conv, "kp", "proj"), (mem_g, conv, "kp", "gfun"),
+                               (mem_field, conv_field, "k", "vxx")):
         ref = conv_fn(series[a], series[b], dt)[rows]
         scale = np.max((np.abs(convolution_matrix(series[a], dt))
                         @ np.abs(series[b]))[rows])
@@ -349,16 +351,15 @@ def test_modal_map_matches_the_physical_map(n0, W):
     # y3 of the later windows, whose time derivative of G amplifies it)
     pd, setup, glob = _solved_twin()
     win = _window_data(pd, setup, n0, W, glob)
-    win_phys = win
+    history = (None, None)
     if n0 > 0:
         k = integrate_prefix(glob["kp"][: n0 + 1], setup.k0, pd.grid.dt)
-        head, tails = _solved_history(glob, k, n0, W, pd.grid.dt, pd.grid.dx)
-        win_phys = replace(win, head=head, tails=tails)
+        history = reference_solved_history(glob, k, n0, W, pd.grid.dt, pd.grid.dx)
     state = apply_map_A(_initial_state(win, setup, pd, 0.3), win, setup, pd)
     for _ in range(2):  # two successive iterates, with nonzero kernel rates
         out = apply_map_A(state, win, setup, pd)
         v_ref, kp_ref, y3_ref = reference_apply_map_A(
-            physical_field(state.vhat, win), state.kprime, win_phys, setup, pd)
+            physical_field(state.vhat, win), state.kprime, win, setup, pd, history)
         for got, ref in ((physical_field(out.vhat, win), v_ref),
                          (out.kprime, kp_ref), (out.yccc, y3_ref)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -557,3 +558,27 @@ def test_inverse_options_reject_negative_values(bad):
     with pytest.raises(ValueError):
         InverseOptions(**bad)
     InverseOptions(window_steps=None, noise_sigma=0.0)  # the edges are fine
+
+
+@pytest.mark.parametrize(
+    "bad", [{"initial_kprime": np.nan}, {"initial_kprime": -np.inf},
+            {"vt_sign": np.inf}, {"vt_sign": np.nan}, {"vt_sign": 0.5}, {"vt_sign": 0.0}],
+)
+def test_inverse_options_reject_a_non_finite_start_and_a_non_unit_sign(bad):
+    # a NaN start would surface only as NonFinite from inside the map
+    with pytest.raises(ValueError, match="initial_kprime|vt_sign"):
+        InverseOptions(**bad)
+    InverseOptions(vt_sign=-1, initial_kprime=-0.5)  # either sign and any finite start
+
+
+@pytest.mark.parametrize("n0, W", [(0, 40), (40, 40), (80, 30)])
+def test_window_operators_are_read_only(n0, W):
+    pd, setup, glob = _solved_twin()
+    win = _window_data(pd, setup, n0, W, glob)
+    cached = list(vars(win.modes).values())
+    if n0 > 0:
+        cached += list(vars(win.hist).values()) + [win.vxx_tail]
+        assert set(vars(win.hist)) == {"k", "kp", "series", "series_tail", "vxx", "vxx_tail"}
+    for arr in cached:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0

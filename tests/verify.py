@@ -16,9 +16,12 @@ iteration metric built from the full difference fields,
 candidate degree before it picks one, ``reference_sensor_rates`` takes
 the fixed-point map's two sensor rates on the fields v_t and v_xxt,
 ``reference_solve_direct`` is the direct march in physical space: one
-dispersive solve and one acoustic closure per step, and
-``reference_apply_map_A`` is the fixed-point map on physical fields, with
-one Dirichlet march (projection and transform back) per call.
+dispersive solve and one acoustic closure per step,
+``reference_march_modes`` is the modal Dirichlet recurrence as a plain
+loop over steps and modes, and ``reference_apply_map_A`` is the
+fixed-point map on physical fields, with one Dirichlet march (projection
+and transform back) per call; it takes a later window's memory terms from
+``reference_solved_history`` through ``window_memory``.
 """
 
 import numpy as np
@@ -34,7 +37,6 @@ from memkernel.direct import (
 )
 from memkernel.energy import solution_norm
 from memkernel.equivalence import sensor_functional
-from memkernel.inverse import _window_memory
 from memkernel.errors import NonFinite
 from memkernel.grids import (
     DispersiveInverse,
@@ -416,13 +418,14 @@ def reference_solve_direct(pd, kernel, forcing=None, flux_forcing=None):
     return DirectSolution(u=u, y=y, yprime=yp, f=overdetermination(pd, u))
 
 
-def reference_apply_map_A(v, kprime, win, setup, pd, vt_sign=1.0):
+def reference_apply_map_A(v, kprime, win, setup, pd, history=(None, None),
+                          vt_sign=1.0):
     """``memkernel.inverse.apply_map_A`` on a physical field iterate ``v``
     ((W+1, nx+2), row 0 the seam row): v_xx by ``second_diff``, the sensor
-    series by quadrature, the forcing on the nodes and one
-    ``solve_linear_dirichlet``.  ``win.head``/``win.tails`` must hold the
-    physical v_xx history of ``inverse._solved_history``.  Returns the new
-    v, k' and y'''."""
+    series by quadrature, the memory terms by ``window_memory``, the
+    forcing on the nodes and one ``solve_linear_dirichlet``.  A later
+    window's ``history`` is ``reference_solved_history``'s (head, tails).
+    Returns the new v, k' and y'''."""
     grid_w = win.pd_w.grid
     dt, dx = grid_w.dt, grid_w.dx
     prof = profiles(pd)
@@ -433,8 +436,8 @@ def reference_apply_map_A(v, kprime, win, setup, pd, vt_sign=1.0):
     g_lin = sensor_functional(setup, 0.0, vxx, dx)
     proj_vt = time_derivative(proj_v, dt)
 
-    hist = (win.head, win.tails, dt)  # the solved span, None on the first window
-    mem_proj = _window_memory(conv, kp_old, proj_v, "kp", "proj", *hist)
+    hist = (*history, dt)
+    mem_proj = window_memory(conv, kp_old, proj_v, "kp", "proj", *hist)
     kp_new = setup.alpha * (
         win.f[4] + vt_sign * proj_vt - setup.k0 * proj_v - mem_proj
     )
@@ -442,15 +445,69 @@ def reference_apply_map_A(v, kprime, win, setup, pd, vt_sign=1.0):
 
     g_of_v = win.f[1] / setup.psi_ell + g_lin
     gp_of_v = win.f[2] / setup.psi_ell + time_derivative(g_lin, dt)
-    mem_g = _window_memory(conv, kp_old, g_of_v, "kp", "gfun", *hist)
+    mem_g = window_memory(conv, kp_old, g_of_v, "kp", "gfun", *hist)
     y3 = gp_of_v - kp_new * setup.ghat_u0 - setup.k0 * g_of_v - mem_g
     y2 = integrate_prefix(y3, win.y2_seam, dt)
     z2 = pd.p * y3 + pd.q * y2
 
-    mem_field = _window_memory(conv_field, k_new, vxx, "k", "vxx", *hist)
+    mem_field = window_memory(conv_field, k_new, vxx, "k", "vxx", *hist)
     K = -np.outer(k_new, prof.u0pp) - mem_field + np.outer(z2, grid_w.x / pd.ell)
     v_new = solve_linear_dirichlet(win.pd_w, win.u_tau, setup.v1row, K, win.u_before)
 
     if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(kp_new))):
         raise NonFinite("fixed-point map output")
     return v_new, kp_new, y3
+
+
+def reference_march_modes(h, seed, c):
+    """``memkernel.direct._march_modes`` as a plain loop over steps and
+    modes: returns the modes of levels 1.. of the three-level recurrence
+    vhat^{n+1} = c vhat^n - vhat^{n-1} + h^n from ``seed``, each entry
+    summed in the library's order."""
+    w0, taper, offset = seed
+    out = np.array(h, dtype=float)
+    for j in range(out.shape[1]):
+        out[0, j] = out[0, j] * taper + offset[j]
+        prev = w0[j]
+        for n in range(1, out.shape[0]):
+            out[n, j] = out[n, j] + (c[j] * out[n - 1, j] - prev)
+            prev = out[n - 1, j]
+    return out
+
+
+def reference_solved_history(glob, k, n0, W, dt, dx):
+    """``window_memory``'s ``head`` and ``tails`` of the window of W <= n0
+    steps at n0 > 0, from full global convolutions: the series over nodes
+    0..W (``vxx`` is v's ``second_diff``, ``k`` the kernel over 0..n0), and
+    rows n0..n0+W of the global convolution of each kernel's history (zero
+    past n0) with the series' history, keyed by the series."""
+    n = n0 + W + 1
+    series = dict(kp=glob["kp"], proj=glob["proj"], gfun=glob["gfun"], k=k,
+                  vxx=second_diff(glob["v"][: n0 + 1], dx))
+    head = {name: np.array(s[: W + 1], dtype=float) for name, s in series.items()}
+
+    def history(name):
+        out = np.zeros((n,) + series[name].shape[1:])
+        out[: n0 + 1] = series[name][: n0 + 1]
+        return out
+
+    tails = {b: conv_fn(history(a), history(b), dt)[n0:]
+             for conv_fn, a, b in ((conv, "kp", "proj"), (conv, "kp", "gfun"),
+                                   (conv_field, "k", "vxx"))}
+    return head, tails
+
+
+def window_memory(conv_fn, a_w, b_w, a, b, head, tails, dt):
+    """Rows n0..n0+W of the global trapezoid convolution (a * b).
+
+    ``a_w``, ``b_w`` are the window's iterates of the series ``a``, ``b``.
+    The first window (``tails`` None) convolves them directly.  Later ones
+    add to the history x history part ``tails[b]`` each increment (the
+    iterate with its seam entry zeroed) convolved with the other series'
+    ``head``; increment x increment vanishes on these rows as W <= n0.
+    """
+    if tails is None:
+        return conv_fn(a_w, b_w, dt)
+    da, db = np.array(a_w, dtype=float), np.array(b_w, dtype=float)
+    da[0] = db[0] = 0.0
+    return conv_fn(da, head[b], dt) + conv_fn(head[a], db, dt) + tails[b]
