@@ -23,7 +23,6 @@ __all__ = [
     "DispersiveInverse",
     "quad_trapz",
     "spatial_h2_norm",
-    "modal_h2_norm",
 ]
 
 
@@ -231,24 +230,26 @@ def _h2_form(nx, dx):
 
 
 def _h2_squares(w_hat, dx):
+    """The form of ``_h2_form`` of each row of ``w_hat``, which it squares in
+    place: callers pass a temporary."""
     d, B, w = _h2_form(w_hat.shape[-1], dx)
     p = w_hat @ B
-    return (w_hat * w_hat) @ d + (p * p) @ w
-
-
-def modal_h2_norm(w_hat, dx):
-    """``spatial_h2_norm`` of rows with zero ends given by their sine
-    coefficients (last axis), through the form of ``_h2_form``."""
-    return np.sqrt(dx * _h2_squares(np.asarray(w_hat, dtype=float), dx))
+    np.square(w_hat, out=w_hat)
+    return w_hat @ d + (p * p) @ w
 
 
 def spatial_h2_norm(row, dx):
     """Discrete H2(I) norm along the last axis: trapezoid L2 norms of the
-    value, ``first_diff`` and ``second_diff``.
+    value, ``first_diff`` and ``second_diff``."""
+    return np.sqrt(dx * _spatial_h2_squares(row, dx))
+
+
+def _spatial_h2_squares(row, dx):
+    """The squared ``spatial_h2_norm`` over ``dx`` of physical rows.
 
     The trapezoid rule weighs interior nodes by one and the two endpoints
-    by one half.  The form of ``modal_h2_norm`` holds for rows with zero
-    ends, so the row first loses the linear interpolant of its two end
+    by one half.  The form of ``_h2_form`` holds for rows with zero ends,
+    so the row first loses the linear interpolant of its two end
     values.  The interpolant has zero second differences and first
     differences equal to its slope g at every node (the one-sided stencils
     are exact on it), so its value adds one dot product and its slope
@@ -257,15 +258,18 @@ def spatial_h2_norm(row, dx):
     r = np.asarray(row, dtype=float)
     nx = r.shape[-1] - 2
     r0, rn = r[..., :1], r[..., -1:]
-    lift = r0 + (rn - r0) * (np.arange(1, nx + 1) / (nx + 1))
+    # updated in place: ``energy`` passes three layers of a slab at once
+    lift = (rn - r0) * (np.arange(1, nx + 1) / (nx + 1))
+    lift += r0
     w = r[..., 1:-1] - lift
-    w_hat = (2.0 / (nx + 1)) * (w @ _sine_matrix(nx))
+    w_hat = w @ _sine_matrix(nx)
+    w_hat *= 2.0 / (nx + 1)
     r0, rn = r0[..., 0], rn[..., 0]
     g = (rn - r0) / ((nx + 1) * dx)
     w1, w2, wm, wn = w[..., 0], w[..., 1], w[..., -2], w[..., -1]
     # sum of w's centered first differences (it telescopes) and of its two
     # one-sided end values, each crossed with the slope
     fd_sum = (wn - w1) / dx + (4 * w1 - w2 - 4 * wn + wm) / (2.0 * dx)
-    value = np.einsum("...j,...j->...", lift, r[..., 1:-1] + w) + 0.5 * (r0 * r0 + rn * rn)
-    total = _h2_squares(w_hat, dx) + value + g * (fd_sum + (nx + 1) * g)
-    return np.sqrt(dx * total)
+    value = (np.einsum("...j,...j->...", lift, r[..., 1:-1]) + np.einsum("...j,...j->...", lift, w)
+             + 0.5 * (r0 * r0 + rn * rn))
+    return _h2_squares(w_hat, dx) + value + g * (fd_sum + (nx + 1) * g)

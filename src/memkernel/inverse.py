@@ -24,11 +24,12 @@ span is built once per window (``_solved_history``): the history x history
 tails and the convolution matrices of the heads of k, k' and the two sensor
 series.  A Picard step takes the two sensor series as one (W+1, 2) block,
 with one time derivative and one memory product of those matrices with the
-increments; the field memory builds the call's one convolution matrix, the
-kernel's increment against the v_xx head.  The solved span keeps v, k',
-y''' and the two sensor series of v; k, y'' and v_xx are derived where
-they are read.  The map takes its sensor rates as time derivatives of
-those series, so it forms no time derivative of a field.
+increments; the field memory convolves the kernel's increment with the v_xx
+head through ``timeconv.conv_field``, which builds no whole convolution
+matrix.  The solved span keeps v, k', y''' and the two sensor series of v;
+k, y'' and v_xx are derived where they are read.  The map takes its sensor
+rates as time derivatives of those series, so it forms no time derivative
+of a field.
 
 The iterate's field is held as sine coefficients of its rows, row 0 being
 the projected seam row.  In that basis the map does no transform: the
@@ -36,9 +37,11 @@ sensor series are one product with two fixed modal vectors (the one-sided
 v_xx end values included), v_xx is -mu times the coefficients, the memory
 term convolves those, the forcing is assembled from projected profiles and
 the Dirichlet march is its three-level recurrence.  The iteration metric is
-``energy.modal_solution_norm``, a diagonal-plus-rank-6 form per row.  Only
-the seam row, which may have nonzero ends, is read in physical space, once
-per window, and the physical field is formed once per accepted window.
+``energy.modal_solution_norm``, a diagonal-plus-rank-6 form per row summed
+over slabs of rows; the difference of two iterates is formed one slab at a
+time.  Only the seam row, which may have nonzero ends, is read in physical
+space, once per window, and the physical field is formed once per accepted
+window.
 
 Without a fixed ``window_steps`` the widths are chosen for cost.  On this
 Volterra system the Picard distances follow d_n = d_(n-1) c / n, with c
@@ -222,16 +225,20 @@ def _project(rows, S):
     return (2.0 / (S.shape[0] + 1)) * (rows[..., 1:-1] @ S)
 
 
-def _state_norm(vhat, kprime, grid_w):
-    """Iteration metric: the modal field in the H2-in-time surrogate plus
-    the L2 time norm of the kernel rate."""
-    return modal_solution_norm(vhat, grid_w) + l2_time_norm(kprime, grid_w.dt)
+def _state_norm(s, grid_w, minus=None):
+    """Iteration metric of the iterate ``s``, or of ``s - minus``: the modal
+    field in the H2-in-time surrogate plus the L2 time norm of the kernel
+    rate.  The field difference is formed one slab at a time."""
+    if minus is None:
+        return modal_solution_norm(s.vhat, grid_w) + l2_time_norm(s.kprime, grid_w.dt)
+    return (modal_solution_norm(s.vhat, grid_w, minus.vhat)
+            + l2_time_norm(s.kprime - minus.kprime, grid_w.dt))
 
 
 def state_distance(s1, s2, grid_w):
     """Iteration metric of the difference of two iterates.  Both share the
     seam row, so every row of the difference vanishes at both ends."""
-    return _state_norm(s1.vhat - s2.vhat, s1.kprime - s2.kprime, grid_w)
+    return _state_norm(s1, grid_w, s2)
 
 
 def _series_memory(kp, series, hist, dt):
@@ -251,7 +258,7 @@ def _series_memory(kp, series, hist, dt):
 def _field_memory(k, vxx, hist, dt):
     """Rows n0..n0+W of the global trapezoid convolution of k with v_xx,
     split as in ``_series_memory``; on a later window the kernel's
-    increment against the v_xx head is the call's one convolution matrix."""
+    increment meets the v_xx head in the call's one ``conv_field``."""
     if hist is None:
         return conv_field(k, vxx, dt)
     dk = k.copy()
@@ -331,10 +338,12 @@ PROBE_CALL = 3  # the map call after which an adaptive attempt fits its profile
 # Fixed cost of one map call, in rows of window: a call plus its distance
 # takes about t0 + t1*W, and CALL_ROWS = t0/t1.  Measured in-process with one
 # BLAS thread on a 2-vCPU x86-64 Linux VM (Python 3.11, numpy 2.4), on later
-# windows of the bench grids (nx = 100, 160, 200; W = 12..400):
-# t ~ 0.75 ms + 17..24 us * W, so t0/t1 ~ 33..41 rows.  Single fits on that
-# shared host spread from 15 to 88 rows; across that range the chosen widths
-# change by up to 2x, while the modelled cost changes by at most 27%.
+# windows of the bench grids (nx = 100, 160, 200): t ~ 0.75 ms + 17..24 us*W
+# over W = 12..400, t0/t1 ~ 33..41 rows, before the metric ran in row slabs;
+# after, five fits over W = 12..100 gave 0.06..0.21 ms + 5.4..9.8 us*W,
+# t0/t1 ~ 8..29 rows.  Single fits on that shared host spread widely;
+# across 15..88 rows the chosen widths change by up to 2x, while the
+# modelled cost changes by at most 27%.
 CALL_ROWS = 36
 
 
@@ -420,7 +429,7 @@ def solve_window(win, setup, pd, tol=1e-10, max_iter=50, vt_sign=1.0,
         state = new
         if it == 1:
             scale = 1.0 + d
-            floor = FLOOR_TOL * max(scale, _state_norm(new.vhat, new.kprime, grid_w))
+            floor = FLOOR_TOL * max(scale, _state_norm(new, grid_w))
         if not np.isfinite(d) or d > 1e4 * scale:
             raise NoConvergence(it, d / d_prev if it > 1 else np.inf,
                                 window=win.start, reason="diverged")

@@ -7,8 +7,10 @@ convolution vanishes there and several initial-time identities rely on it).
 
 A single series is convolved without a matrix: the first n terms of the
 linear convolution less the two halved endpoint products, O(n) memory.  A
-field is multiplied by the dense lower-triangular convolution matrix, whose
-n^2 build is shared by all of its columns.
+field is multiplied by the lower-triangular convolution matrix one block of
+``ROW_BLOCK`` rows at a time, each block shared by all of the field's
+columns and built by the helper that builds the whole matrix, so no call
+holds more than ``ROW_BLOCK * n`` matrix entries.
 """
 
 from __future__ import annotations
@@ -77,8 +79,32 @@ class Kernel:
         return cls(np.zeros(nt + 1), np.zeros(nt + 1), 0.0, dt)
 
 
-# Rows per block of the lower-triangular product in ``_lower_product``.
+# Rows per block of a convolution matrix that a field is multiplied by, and
+# of the slabs of the H2-in-time norm (``energy``).
 ROW_BLOCK = 128
+
+
+def _toeplitz_rows(k, dt, r0, r1):
+    """Rows ``r0:r1`` of ``convolution_matrix(k, dt)`` over its first ``r1``
+    columns; the columns past ``r1`` of these rows are its zero upper
+    triangle.
+
+    With m = r1 - r0, (0, ..., 0, dt*k[:r1]) with m - 1 zeros, read from
+    the sample of dt*k[r0] with strides (+1, -1), has row i dt*k[r0+i], ...,
+    dt*k[0], 0, ...; scaling the samples rather than the entries gives the
+    same bits, because the trapezoid halvings are exact.
+    """
+    m = r1 - r0
+    padded = np.zeros(m - 1 + r1)
+    np.multiply(dt, k[:r1], out=padded[m - 1 :])
+    step = padded.strides[0]
+    w = np.ndarray((m, r1), buffer=padded, offset=(m - 1 + r0) * step,
+                   strides=(step, -step)).copy()
+    w[:, 0] *= 0.5
+    w.flat[r0 :: r1 + 1] *= 0.5  # the diagonal
+    if r0 == 0:
+        w[0, 0] = 0.0
+    return w
 
 
 def convolution_matrix(k, dt):
@@ -88,35 +114,7 @@ def convolution_matrix(k, dt):
     row 0 is identically zero.
     """
     k = np.asarray(k, dtype=float)
-    n = k.shape[0]
-    # (0, ..., 0, dt*k) read from its sample n-1 with strides (+1, -1) has row
-    # i dt*k[i], ..., dt*k[0], 0, ...; scaling the n samples rather than the
-    # n^2 entries gives the same bits, because the halvings below are exact
-    padded = np.zeros(2 * n - 1)
-    np.multiply(dt, k, out=padded[n - 1 :])
-    step = padded.strides[0]
-    w = np.ndarray((n, n), buffer=padded, offset=(n - 1) * step,
-                   strides=(step, -step)).copy()
-    w[:, 0] *= 0.5
-    w.flat[:: n + 1] *= 0.5  # the diagonal
-    w[0, 0] = 0.0
-    return w
-
-
-def _lower_product(w, g):
-    """``w @ g`` for lower-triangular ``w`` and a 2-D ``g``, skipping the
-    zero upper triangle of ``w``; ``conv_field``'s product.
-
-    Rows ``r0:r1`` need only the first ``r1`` columns of ``w`` and rows of
-    ``g``; the slice ``w[r0:r1, :r1]`` has unit inner stride, so BLAS reads
-    it in place.  Up to ``ROW_BLOCK`` rows this is the single full product.
-    """
-    n = w.shape[0]
-    out = np.empty((n,) + g.shape[1:])
-    for r0 in range(0, n, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, n)
-        np.matmul(w[r0:r1, :r1], g[:r1], out=out[r0:r1])
-    return out
+    return _toeplitz_rows(k, dt, 0, k.shape[0])
 
 
 def conv(k, g, dt):
@@ -137,14 +135,23 @@ def conv(k, g, dt):
 
 
 def conv_field(k, field, dt):
-    """Convolution applied down each spatial column of a field."""
+    """Convolution applied down each spatial column of a field.
+
+    The convolution matrix is built and applied ``ROW_BLOCK`` rows at a
+    time, so at most ``ROW_BLOCK * n`` of its entries are held at once.
+    """
     k = np.asarray(k, dtype=float)
     field = np.asarray(field, dtype=float)
     if field.shape[0] != k.shape[0]:
         raise ValueError(
             f"field has {field.shape[0]} time levels, kernel has {k.shape[0]}"
         )
-    return _lower_product(convolution_matrix(k, dt), field)
+    n = k.shape[0]
+    out = np.empty(field.shape)
+    for r0 in range(0, n, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, n)
+        np.matmul(_toeplitz_rows(k, dt, r0, r1), field[:r1], out=out[r0:r1])
+    return out
 
 
 def integrate_prefix(rate, start, dt):
@@ -163,11 +170,14 @@ def l2_time_norm(series, dt):
     return np.sqrt(dt * (sq.sum() - 0.5 * (sq[0] + sq[-1])))
 
 
-def time_derivative(values, dt):
-    """Second-order time derivative along axis 0 (centered, one-sided ends)."""
+def time_derivative(values, dt, out=None):
+    """Second-order time derivative along axis 0 (centered, one-sided ends),
+    written into ``out`` when given."""
     v = np.asarray(values, dtype=float)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
+    if out is None:
+        out = np.empty_like(v)
+    np.subtract(v[2:], v[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dt
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
     return out

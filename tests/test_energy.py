@@ -157,6 +157,9 @@ def test_solution_norm_matches_full_field_reference(rows, nx, scale, seed, smoot
 @settings(max_examples=40, deadline=None)
 @example(rows=3, nx=3, seed=0)
 @example(rows=801, nx=160, seed=1)
+@example(rows=129, nx=40, seed=2)  # slabs of 128 rows and 1 row
+@example(rows=130, nx=7, seed=3)
+@example(rows=257, nx=100, seed=4)  # a one-row last slab after two full ones
 @given(rows=st.integers(3, 300), nx=st.integers(3, 200), seed=st.integers(0, 2**32 - 1))
 def test_modal_norm_is_the_norm_of_the_field(rows, nx, seed):
     # the iteration metric takes the norm of rows with zero ends from their

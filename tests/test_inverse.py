@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from memkernel.energy import solution_norm
 from memkernel.equivalence import build_setup, sensor_functional
 from memkernel.errors import CompatibilityFailed, NoConvergence
 from memkernel.expressions import parse
-from memkernel.grids import _sine_matrix, quad_trapz, second_diff
+from memkernel.grids import Grid, _sine_matrix, quad_trapz, second_diff
 from memkernel.inverse import (
     InverseOptions,
     IterState,
@@ -29,7 +30,7 @@ from memkernel.inverse import (
 from memkernel.timeconv import (Kernel, conv, conv_field, convolution_matrix,
                                 integrate_prefix, l2_time_norm)
 from verify import (reference_apply_map_A, reference_sensor_rates,
-                    reference_solved_history, transform_to_v)
+                    reference_solution_norm, reference_solved_history, transform_to_v)
 
 PI = repr(np.pi)
 TWIN_KW = dict(phi=f"sin({PI}*x)^3", u0=f"sin({2 * np.pi}*x)", u1="0*x")
@@ -198,6 +199,38 @@ def test_map_contracts_between_nearby_states():
     )
     den = state_distance(s1, s2, win.pd_w.grid)
     assert num < den  # one application brings the states closer
+
+
+def _iterate_pair(rows, nx, seed):
+    rng = np.random.default_rng(seed)
+    return [IterState(vhat=rng.standard_normal((rows, nx)), kprime=rng.standard_normal(rows),
+                      yccc=np.zeros(rows)) for _ in range(2)]
+
+
+@pytest.mark.parametrize("rows", [257, 300, 384])
+def test_state_distance_is_the_norm_of_the_physical_difference(rows):
+    # three slabs of rows: the metric of two iterates is the full-field
+    # norm of their physical difference plus the L2 norm of the k' difference
+    nx = 60
+    grid = Grid(ell=1.0, T=1.3, nx=nx, nt=rows - 1)
+    s1, s2 = _iterate_pair(rows, nx, rows)
+    diff = np.zeros((rows, nx + 2))
+    diff[:, 1:-1] = (s1.vhat - s2.vhat) @ _sine_matrix(nx)
+    ref = reference_solution_norm(diff, grid) + l2_time_norm(s1.kprime - s2.kprime, grid.dt)
+    assert abs(state_distance(s1, s2, grid) - ref) <= 1e-13 * ref
+
+
+def test_state_distance_forms_no_field_sized_layer():
+    rows, nx = 1201, 100
+    grid = Grid(ell=1.0, T=1.0, nx=nx, nt=rows - 1)
+    s1, s2 = _iterate_pair(rows, nx, 0)
+    tracemalloc.start()
+    try:
+        state_distance(s1, s2, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < s1.vhat.nbytes
 
 
 def test_window_zero_data_converges_immediately():

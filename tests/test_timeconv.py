@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memkernel.timeconv import (
+    ROW_BLOCK,
     conv,
     conv_field,
     convolution_matrix,
@@ -103,6 +106,8 @@ def test_convolution_matrix_bitwise_equals_reference(n):
 @example(n=257, width=4, seed=4)
 @example(n=2, width=1, seed=5)
 @example(n=1201, width=3, seed=6)
+@example(n=ROW_BLOCK + 1, width=8, seed=7)
+@example(n=2 * ROW_BLOCK + 1, width=8, seed=8)  # a one-row last block
 @given(n=st.integers(1, 400), width=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
 def test_blocked_conv_matches_dense_reference(n, width, seed):
     # the blocked product sums in another order than the full one, so the
@@ -116,6 +121,21 @@ def test_blocked_conv_matches_dense_reference(n, width, seed):
         assert out.shape == g.shape
         scale = np.max(np.abs(ref_w) @ np.abs(g))
         assert np.max(np.abs(out - ref_w @ g)) <= 1e-13 * scale
+
+
+def test_conv_field_holds_a_row_block_of_the_matrix_at_most():
+    # the whole convolution matrix at n = 1201 is 11.5 MB; a call may hold
+    # one block of ROW_BLOCK rows and the temporaries of its product
+    n = 1201
+    rng = np.random.default_rng(3)
+    k, field = rng.standard_normal(n), rng.standard_normal((n, 8))
+    tracemalloc.start()
+    try:
+        conv_field(k, field, 1.0 / n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * ROW_BLOCK * n * 8
 
 
 def test_conv_field_constant_in_time():
