@@ -46,13 +46,16 @@ window.
 Without a fixed ``window_steps`` the widths are chosen for cost.  On this
 Volterra system the Picard distances follow d_n = d_(n-1) c / n, with c
 proportional to the window width, so the map calls per window grow faster
-than its width.  The third map call of an attempt fits c; the attempt is
-abandoned for a window of half its width or less when that is predicted
-to cost fewer map calls per solved step, and each accepted window sizes
-the next one from its own fit; a remainder of at most half that width
-joins the window when the sum stays within n0.  An attempt that diverges or runs out of
-``max_iter`` is halved and retried, until half its width is below
-MIN_WINDOW_STEPS; as every retry at least halves it, retries are bounded.
+than its width.  The first attempt is min(nt, FIRST_WINDOW_STEPS) wide, so
+that fitting c costs no O(nt^2) work; the candidate widths are the
+half-octave ladder down from nt.  The third map call of an attempt fits c;
+the attempt is abandoned for a window of half its width or less when that
+is predicted to cost fewer map calls per solved step, and each accepted
+window sizes the next one from its own fit, up to n0 + W; a remainder of
+at most half that width joins the window when the sum stays within n0.
+An attempt that diverges or runs out of ``max_iter`` is halved and
+retried, until half its width is below MIN_WINDOW_STEPS; as every retry at
+least halves it, retries are bounded.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .direct import (_dirichlet_coefficients, _dirichlet_seed, _march_modes,
                      profiles, solve_linear_dirichlet)
@@ -72,8 +74,8 @@ from .equivalence import (EquivSetup, build_setup, check_compatibility,
                           sensor_functional, sensor_moment)
 from .errors import CompatibilityFailed, NoConvergence, NonFinite
 from .grids import _end_stencil_modes, _sine_modes, quad_trapz, second_diff
-from .timeconv import (Kernel, conv, conv_field, convolution_matrix, integrate_prefix,
-                       l2_time_norm, time_derivative)
+from .timeconv import (Kernel, _toeplitz_rows, conv, conv_field, convolution_matrix,
+                       integrate_prefix, l2_time_norm, time_derivative)
 
 __all__ = [
     "InverseOptions",
@@ -88,6 +90,10 @@ __all__ = [
 ]
 
 MIN_WINDOW_STEPS = 8
+# Width of an adaptive run's first attempt when nt is larger.  That attempt
+# only fits c for the cost model, and at the full horizon its three map
+# calls cost O(nt^2 nx) in the field memory; later widths still grow to n0 + W.
+FIRST_WINDOW_STEPS = 512
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,7 @@ class InverseOptions:
 
     tol: float = 1e-10
     max_iter: int = 50
-    window_steps: int | None = None  # None: widths chosen for cost, starting at nt
+    window_steps: int | None = None  # None: chosen for cost, from min(nt, FIRST_WINDOW_STEPS)
     vt_sign: float = +1.0  # sign of the velocity-projection term; see README
     noise_sigma: float = 0.0
     force: bool = False
@@ -336,14 +342,14 @@ NORM_TRACK_BOUND = 10.0  # window-to-window norm growth that draws a warning
 PROBE_CALL = 3  # the map call after which an adaptive attempt fits its profile
 
 # Fixed cost of one map call, in rows of window: a call plus its distance
-# takes about t0 + t1*W, and CALL_ROWS = t0/t1.  Measured in-process with one
-# BLAS thread on a 2-vCPU x86-64 Linux VM (Python 3.11, numpy 2.4), on later
-# windows of the bench grids (nx = 100, 160, 200): t ~ 0.75 ms + 17..24 us*W
-# over W = 12..400, t0/t1 ~ 33..41 rows, before the metric ran in row slabs;
-# after, five fits over W = 12..100 gave 0.06..0.21 ms + 5.4..9.8 us*W,
-# t0/t1 ~ 8..29 rows.  Single fits on that shared host spread widely;
-# across 15..88 rows the chosen widths change by up to 2x, while the
-# modelled cost changes by at most 27%.
+# takes about t0 + t1*W, and CALL_ROWS = t0/t1.  Per-call fits spread too
+# widely to pick it (t0/t1 ~ 8..41 rows), so it was swept end to end:
+# in-process reconstruct with one BLAS thread on a 2-vCPU x86-64 Linux VM,
+# the bench grids at seeds 40..42, mean seconds of two runs of 4 and 8
+# alternating reps.  No other value was faster on both grids in both runs:
+#   CALL_ROWS            12           20           36           60
+#   long_horizon   0.115/0.126  0.100/0.120  0.108/0.136  0.128/0.138
+#   windows_T4     0.253/0.241  0.262/0.226  0.224/0.218  0.243/0.204
 CALL_ROWS = 36
 
 
@@ -460,28 +466,27 @@ def _solved_history(glob, k, n0, W, dt, dx):
     the (W+1, 2) tails of both against k'; ``vxx`` and ``vxx_tail``, the
     head of v's ``second_diff`` and the tail of k * v_xx.  Time convolution
     and spatial stencil act on different axes, so that tail is the
-    ``second_diff`` of k * v's.  For it only the (W+1) x (n0+1) block of
-    the convolution matrix that these rows read is built: row i is
-    dt*k[n0-m+i] over columns m >= i, row 0's end weights halved.
+    ``second_diff`` of k * v's.  Every tail is one product with a lag
+    block: rows n0..n0+W, columns 0..n0 of the convolution matrix of a
+    history zero-padded to n0+W+1 nodes (``timeconv._toeplitz_rows``),
+    the block of k' taking both sensor series' histories at once.
     """
     hist = slice(0, n0 + 1)
-    kp, series = np.zeros(n0 + W + 1), np.zeros(n0 + W + 1)
-    kp[hist] = glob["kp"][hist]
-    tails = []
-    for name in ("proj", "gfun"):
-        series[hist] = glob[name][hist]
-        tails.append(conv(kp, series, dt)[n0:])
-    lags = np.concatenate((np.zeros(W), dt * k[n0::-1]))
-    block = sliding_window_view(lags, n0 + 1)[::-1].copy()
-    block[0, [0, n0]] *= 0.5
+
+    def lag_block(a):
+        padded = np.zeros(n0 + W + 1)
+        padded[hist] = a[hist]
+        return _toeplitz_rows(padded, dt, n0, n0 + W + 1)[:, hist]
+
+    series_hist = np.column_stack((glob["proj"][hist], glob["gfun"][hist]))
     heads = [convolution_matrix(glob[name][: W + 1], dt) for name in ("proj", "gfun")]
     return SimpleNamespace(
         k=convolution_matrix(k[: W + 1], dt),
         kp=convolution_matrix(glob["kp"][: W + 1], dt),
         series=np.stack(heads, axis=1).reshape(2 * (W + 1), W + 1),
-        series_tail=np.column_stack(tails),
+        series_tail=lag_block(glob["kp"]) @ series_hist,
         vxx=second_diff(glob["v"][: W + 1], dx),
-        vxx_tail=second_diff(block @ glob["v"][hist], dx),
+        vxx_tail=second_diff(lag_block(k) @ glob["v"][hist], dx),
     )
 
 
@@ -538,9 +543,9 @@ def reconstruct(pd, f, options=InverseOptions()):
     glob = {name: np.zeros(nt + 1) for name in ("kp", "y3", "proj", "gfun")}
     glob["v"] = np.zeros((nt + 1, nx + 2))
 
-    # an adaptive march starts at the full horizon
+    # an adaptive march starts at the full horizon, up to FIRST_WINDOW_STEPS
     adaptive = options.window_steps is None
-    width = nt if adaptive else options.window_steps
+    width = min(nt, FIRST_WINDOW_STEPS) if adaptive else options.window_steps
     width = int(np.clip(width, MIN_WINDOW_STEPS, nt))
     ladder = []  # half-octave widths down from nt, an adaptive window's candidates
     while adaptive and (w := round(nt * 2.0 ** (-len(ladder) / 2))) >= MIN_WINDOW_STEPS:

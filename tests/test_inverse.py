@@ -64,6 +64,8 @@ def physical_field(vhat, win):
 @example(W=1, extra=0, width=1, seed=0)
 @example(W=1, extra=5, width=2, seed=1)
 @example(W=40, extra=0, width=3, seed=2)
+@example(W=8, extra=400, width=2, seed=3)  # a history over several ROW_BLOCKs
+@example(W=60, extra=300, width=1, seed=4)  # n0 >> W, with a wide window
 @given(W=st.integers(1, 60), extra=st.integers(0, 60), width=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1))
 def test_window_memory_is_a_slice_of_the_global_convolution(W, extra, width, seed):
@@ -432,6 +434,28 @@ def test_adaptive_width_retries_early_and_says_why(monkeypatch):
     assert all(r in ("cost", "budget", "diverged") for w in rec.windows for r in w.retries)
     assert all(w.contraction > 0 for w in rec.windows)
     assert all(w.steps <= w.start for w in rec.windows[1:])
+
+
+@pytest.mark.parametrize("nx, nt", [(40, 600), (200, 400)])
+def test_first_adaptive_attempt_is_bounded(monkeypatch, nx, nt):
+    # the first attempt only fits c: it is FIRST_WINDOW_STEPS wide when nt
+    # is larger, nt wide otherwise (the README twin), and in both cases the
+    # probe still narrows it
+    import memkernel.inverse as inverse
+
+    pd = twin_problem(nx=nx, nt=nt)
+    f, _ = twin_measurement(pd, "0.4*cos(2*t)")
+    attempts = []
+    real_window_data = inverse._window_data
+
+    def recording_window_data(pd, setup, n0, W, glob=None):
+        attempts.append((n0, W))
+        return real_window_data(pd, setup, n0, W, glob)
+
+    monkeypatch.setattr(inverse, "_window_data", recording_window_data)
+    rec = reconstruct(pd, f)
+    assert attempts[0] == (0, min(nt, inverse.FIRST_WINDOW_STEPS))
+    assert sum(w.halvings for w in rec.windows) >= 1
 
 
 def test_adaptive_layout_does_not_depend_on_the_initial_iterate():
