@@ -3,10 +3,10 @@
 Space rows are 1-D float arrays over all nodes ``x_0 .. x_{nx+1}`` (length
 ``nx + 2``); fields are 2-D arrays with one row per time level (shape
 ``(nt + 1, nx + 2)``).  A row that vanishes at both ends is also held as
-its ``nx`` sine coefficients (``_sine_modes``); the discrete H2 row norm is
-one quadratic form in those coefficients, which ``spatial_h2_norm`` reaches
-by lifting off a row's end values.  All operators are pure functions of
-their inputs.
+its ``nx`` sine coefficients (``_sine_modes``).  ``spatial_h2_norm``
+measures physical rows by their difference stencils; ``_h2_form`` is the
+same norm in sine coefficients and serves only rows held as modes.  All
+operators are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -241,35 +241,16 @@ def _h2_squares(w_hat, dx):
 def spatial_h2_norm(row, dx):
     """Discrete H2(I) norm along the last axis: trapezoid L2 norms of the
     value, ``first_diff`` and ``second_diff``."""
-    return np.sqrt(dx * _spatial_h2_squares(row, dx))
+    return np.sqrt(_stencil_squares(row, dx).sum(axis=0))
 
 
-def _spatial_h2_squares(row, dx):
-    """The squared ``spatial_h2_norm`` over ``dx`` of physical rows.
-
-    The trapezoid rule weighs interior nodes by one and the two endpoints
-    by one half.  The form of ``_h2_form`` holds for rows with zero ends,
-    so the row first loses the linear interpolant of its two end
-    values.  The interpolant has zero second differences and first
-    differences equal to its slope g at every node (the one-sided stencils
-    are exact on it), so its value adds one dot product and its slope
-    closed-form cross terms.
-    """
-    r = np.asarray(row, dtype=float)
-    nx = r.shape[-1] - 2
-    r0, rn = r[..., :1], r[..., -1:]
-    # updated in place: ``energy`` passes three layers of a slab at once
-    lift = (rn - r0) * (np.arange(1, nx + 1) / (nx + 1))
-    lift += r0
-    w = r[..., 1:-1] - lift
-    w_hat = w @ _sine_matrix(nx)
-    w_hat *= 2.0 / (nx + 1)
-    r0, rn = r0[..., 0], rn[..., 0]
-    g = (rn - r0) / ((nx + 1) * dx)
-    w1, w2, wm, wn = w[..., 0], w[..., 1], w[..., -2], w[..., -1]
-    # sum of w's centered first differences (it telescopes) and of its two
-    # one-sided end values, each crossed with the slope
-    fd_sum = (wn - w1) / dx + (4 * w1 - w2 - 4 * wn + wm) / (2.0 * dx)
-    value = (np.einsum("...j,...j->...", lift, r[..., 1:-1]) + np.einsum("...j,...j->...", lift, w)
-             + 0.5 * (r0 * r0 + rn * rn))
-    return _h2_squares(w_hat, dx) + value + g * (fd_sum + (nx + 1) * g)
+def _stencil_squares(rows, dx):
+    """Trapezoid integrals along the last axis of the squared value,
+    ``first_diff`` and ``second_diff`` of ``rows``, stacked on a new first
+    axis.  Each difference is squared in place and dropped before the next."""
+    rows = np.asarray(rows, dtype=float)
+    out = [quad_trapz(rows * rows, dx)]
+    for diff in (first_diff, second_diff):
+        layer = diff(rows, dx)
+        out.append(quad_trapz(np.square(layer, out=layer), dx))
+    return np.stack(out)

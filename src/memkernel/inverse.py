@@ -60,6 +60,7 @@ least halves it, retries are bounded.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -109,12 +110,16 @@ class InverseOptions:
     initial_kprime: float = 0.0  # alternative Picard start, for uniqueness checks
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        for name in ("max_iter", "window_steps"):
+            count = getattr(self, name)
+            try:  # a float count would be truncated, and a bool read as 0 or 1
+                ok = not isinstance(count, bool) and operator.index(count) >= 1
+            except TypeError:
+                ok = count is None and name == "window_steps"  # None: chosen for cost
+            if not ok:
+                raise ValueError(f"{name} must be an integer of at least 1")
         if not 0 < self.tol < np.inf:
             raise ValueError("tol must be finite and positive")
-        if self.window_steps is not None and self.window_steps < 1:
-            raise ValueError("window_steps must be at least 1")
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError("noise_sigma must be finite and non-negative")
         if self.vt_sign not in (1.0, -1.0):

@@ -609,12 +609,17 @@ def test_norm_track_recorded():
 
 @pytest.mark.parametrize(
     "bad", [{"window_steps": 0}, {"window_steps": -3}, {"noise_sigma": -0.01},
-            {"tol": np.inf}, {"noise_sigma": np.inf}],
+            {"tol": np.inf}, {"noise_sigma": np.inf},
+            # counts are integers: a float would be truncated, a bool read as 0 or 1
+            {"max_iter": 10.5}, {"max_iter": 10.0}, {"max_iter": True}, {"max_iter": None},
+            {"window_steps": 20.5}, {"window_steps": np.float64(20.0)},
+            {"window_steps": True}, {"window_steps": np.True_}],
 )
 def test_inverse_options_reject_negative_values(bad):
     with pytest.raises(ValueError):
         InverseOptions(**bad)
     InverseOptions(window_steps=None, noise_sigma=0.0)  # the edges are fine
+    InverseOptions(max_iter=np.int64(10), window_steps=np.int32(20))  # numpy integers count
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ u_x, ``equivalent_residual`` is the pointwise residual of the homogeneous
 reformulation, ``reference_convolution_matrix`` is the dense oracle of the
 library's trapezoid convolution, ``reference_solution_norm`` is the
 iteration metric built from the full difference fields,
+``reference_energy_series`` is the energy track built from the same fields,
 ``reference_derivative_stack`` is the derivative fit that fits every
 candidate degree before it picks one, ``reference_sensor_rates`` takes
 the fixed-point map's two sensor rates on the fields v_t and v_xxt,
@@ -35,7 +36,7 @@ from memkernel.direct import (
     profiles,
     solve_linear_dirichlet,
 )
-from memkernel.energy import solution_norm
+from memkernel.energy import EnergyTrack, solution_norm
 from memkernel.equivalence import sensor_functional
 from memkernel.errors import NonFinite
 from memkernel.grids import (
@@ -146,6 +147,33 @@ def reference_solution_norm(v, grid):
         total += l2_time_norm(reference_spatial_h2_norm(layer, grid.dx), grid.dt)
         layer = time_derivative(layer, grid.dt)
     return float(total)
+
+
+def reference_energy_series(v, beta, grid):
+    """``memkernel.energy.energy_series`` from the nine full derivative
+    fields: every time and space difference of the whole field at once."""
+    v = np.asarray(v, float)
+    dt, dx = grid.dt, grid.dx
+    vt = time_derivative(v, dt)
+    vx = first_diff(v, dx)
+    vxx = second_diff(v, dx)
+    vxt = first_diff(vt, dx)
+    vxxt = second_diff(vt, dx)
+    vtt = time_derivative(vt, dt)
+    vxtt = first_diff(vtt, dx)
+    vxxtt = second_diff(vtt, dx)
+
+    def sq(field):
+        return quad_trapz(field * field, dx)
+
+    return EnergyTrack(
+        t=grid.t,
+        e1=0.5 * (sq(vt) + sq(vx) + beta * sq(vxt)),
+        e2=0.5 * (sq(vxt) + sq(vxx) + beta * sq(vxxt)),
+        cum_vtt=integrate_prefix(sq(vtt), 0.0, dt),
+        cum_vxtt=integrate_prefix(sq(vxtt), 0.0, dt),
+        cum_vxxtt=integrate_prefix(sq(vxxtt), 0.0, dt),
+    )
 
 
 def reference_derivative_stack(values, dt, *, noise_sigma=0.0):
