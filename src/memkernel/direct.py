@@ -24,16 +24,22 @@ initial acceleration of ``initial_acceleration``, which ``build_setup`` shares.
 (I - beta D_xx)^{-1} is diagonal.  Only the right-end value u_R and the
 oscillator stay scalar series.  For a level with u(0) = 0 the interior
 D_xx u has the modes -mu uhat + u_R lift, lift being the projection of the
-right end's stencil weight, so a step costs the memory product over the
-modal history and O(nx) vector work.  The interior acceleration that
-carries a unit right-end acceleration is one ``DispersiveInverse`` solve,
-made once.  The two nodes beside the right end, read by the flux stencil,
-come from one product with two columns of the sine matrix.  The field is
-formed once at the end.  The modal accelerations go back to nodes in row
-blocks and are summed like the recurrence, from the physical rows 0 and 1:
-back-transforming every row's modes instead adds roundoff that is
-uncorrelated in time, which second time differences of u amplify by
-1/dt^2.  The physical step loop survives as the test oracle
+right end's stencil weight; the march keeps it scaled by
+dt^2 (I - beta D_xx)^{-1}, the acceleration it drives.  The memory before
+each block of ``timeconv.ROW_BLOCK`` steps, of the field and of the
+right-end flux, is one product with a lag block of the convolution matrix
+(``timeconv.lag_block``); a step adds only its local triangle of at most
+``ROW_BLOCK`` lags, O(ROW_BLOCK nx) work, and solves the scalar 2x2
+closure on Python floats.  The interior acceleration that carries a unit
+right-end acceleration is one ``DispersiveInverse`` solve, made once, and
+its share of every step's acceleration is added per back-transform block.
+The two nodes beside the right end, read by the flux stencil, move by one
+product of each step's modal increment with two columns of the sine
+matrix.  The field is formed once at the end.  The modal accelerations go
+back to nodes in row blocks and are summed like the recurrence, from the
+physical rows 0 and 1: back-transforming every row's modes instead adds
+roundoff that is uncorrelated in time, which second time differences of u
+amplify by 1/dt^2.  The physical step loop survives as the test oracle
 ``tests/verify.py::reference_solve_direct``.
 
 ``solve_linear_dirichlet`` runs the same stepping for the homogeneous
@@ -54,6 +60,7 @@ solutions can exercise every part of the discrete system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -62,8 +69,8 @@ import numpy as np
 
 from .errors import BoundaryIncompatible, NonFinite
 from .expressions import FuncExpr, differentiate, sample
-from .grids import (DispersiveInverse, Grid, _first_diff_ends, _sine_modes,
-                    quad_trapz, second_diff)
+from .grids import DispersiveInverse, Grid, _first_diff_ends, _sine_modes, second_diff
+from .timeconv import ROW_BLOCK, lag_block
 
 __all__ = [
     "ProblemData",
@@ -219,83 +226,107 @@ def solve_direct(pd, kernel, forcing=None, flux_forcing=None):
     inv = DispersiveInverse(pd.beta, dx, nx)
     abc = inv.solve(np.zeros(nx + 2), 0.0, 1.0)
 
-    # every step solves this 2x2 acoustic closure for a_r and the new y
-    x1_geom = dt**2 * (3.0 - 4.0 * abc[-2] + abc[-3]) / (2.0 * dx)
-    half = 1.0 - 0.5 * dt * k[0]
-    a11 = half * x1_geom + 3.0 * dt / (2.0 * pd.p)
-    a12 = pd.q / pd.p
+    # every step solves this 2x2 acoustic closure for a_r and the new y, on
+    # Python floats
+    p, q = pd.p, pd.q
+    abc2, abc3 = abc[-2].item(), abc[-3].item()
+    x1_geom = dt**2 * (3.0 - 4.0 * abc2 + abc3) / (2.0 * dx)
+    half = 1.0 - 0.5 * dt * k[0].item()
+    a11 = half * x1_geom + 3.0 * dt / (2.0 * p)
+    a12 = q / p
     a21 = dt**2
-    a22 = pd.p + 0.5 * pd.q * dt
+    a22 = p + 0.5 * q * dt
     det = a11 * a22 - a12 * a21
     if abs(det) < 1e-14:
         raise NonFinite("singular acoustic boundary closure", step=2)
 
     # Sine modes are row vectors, as in ``solve_linear_dirichlet``.  Rows 0
     # and 1 project their physical second differences, which carries any
-    # u0(0) residue; later levels vanish at x = 0.
+    # u0(0) residue; later levels vanish at x = 0.  hs[n] is D_xx u at level
+    # n in modes times gain = dt^2 (I - beta D_xx)^{-1}: the part of dt^2 a
+    # it drives, with the memory taken of it directly.
     S, mu, inv_disp = _sine_modes(nx, dx, pd.beta)
     proj = 2.0 / (nx + 1)
-    lift = (proj / dx**2) * S[-1]
+    gain = dt**2 * inv_disp
+    neg_mu = -mu * gain
+    lift = (proj / dx**2) * gain * S[-1]
     abc_hat = proj * (abc[1:-1] @ S)
     near_end = np.ascontiguousarray(S[:, [-1, -2]])  # modes -> nodes nx, nx - 1
-    abc_near = (dt**2 * abc[-2], dt**2 * abc[-3])
-    dxx = np.empty((nt + 1, nx))
-    dxx[:2] = proj * (second_diff(u[:2], dx)[:, 1:-1] @ S)
+    hs = np.empty((nt + 1, nx))
+    np.matmul(second_diff(u[:2], dx)[:, 1:-1], S, out=hs[:2])
+    hs[:2] *= proj * gain
     prev, cur = proj * (u[:2, 1:-1] @ S)
+    diff = cur - prev  # u^n - u^{n-1} in modes
     ux_r = np.empty(nt + 1)
     ux_r[:2] = _first_diff_ends(u[:2], dx)[1]
-    u_r = u[:, -1]
 
-    # acc[n] (the interior of row n + 1) holds the modal acceleration of
-    # step n; before step n writes it, it holds the projected forcing.
+    # Reversed weights of the memory's local triangle: level n reads
+    # wl[nt - n + m] = -dt k[n - m] for m < n, and the level's own D_xx u
+    # enters as its weight 1 - dt k[0] / 2; the flux memory reads the same
+    # weights one lag on, negated.
+    wl = -dt * k[::-1]
+    wl[-1] = 1.0 + 0.5 * wl[-1]
+    loc, tmp = np.empty(nx), np.empty(nx)
+    dt2, two_dx, two_dt, damp = dt**2, 2.0 * dx, 2.0 * dt, p - 0.5 * q * dt
+    u_prev, u_cur, y_cur = u[0, -1].item(), u[1, -1].item(), y[1].item()
+    c2, c3 = u[1, -2].item(), u[1, -3].item()  # u^n at nodes nx, nx - 1
+    steps = []  # u_R, y, y' and dt^2 a_r of each step
+
+    # acc[n] (the interior of row n + 1) gathers dt^2 a of step n in modes:
+    # the projected forcing, then the history memory of each block of steps
+    # in one lag-block product, then the step's local triangle and level.
     acc = u[1:, 1:-1]
     if F is not None:
         np.matmul(F[1:nt, 1:-1], S, out=acc[1:])
-        acc[1:] *= proj
-    for n in range(1, nt):
-        # memory term at the current level (trapezoid in the lag)
-        wts = k[n::-1].copy()
-        wts[0] *= 0.5
-        wts[-1] *= 0.5
-        a_hom = dxx[n] - dt * (wts @ dxx[: n + 1])
-        if F is not None:
-            a_hom += acc[n]
-        a_hom *= inv_disp
-        P = 2.0 * cur - prev + dt**2 * a_hom
-        p2, p3 = (P @ near_end).tolist()  # P at the nodes nx and nx - 1
-        c_u = 2.0 * u_r[n] - u_r[n - 1]
+        acc[1:] *= proj * gain
+    for n0 in range(1, nt, ROW_BLOCK):
+        n1 = min(n0 + ROW_BLOCK, nt)
+        # rows n0..n1 of the memory before the block: levels n0..n1-1 of the
+        # field's, and levels n0+1..n1 of the flux balance's with its forcing
+        lags = lag_block(k, dt, n0, n1 + 1, n0)
+        acc[n0:n1] -= lags[:-1] @ hs[:n0]
+        flux = lags[1:] @ ux_r[:n0]
+        flux += g1[n0 + 1 : n1 + 1]
+        for n, rhs in enumerate(flux.tolist(), n0):
+            a = acc[n]
+            a += np.matmul(wl[nt - n + n0 :], hs[n0 : n + 1], out=loc)
+            diff += a
+            # P = 2 u^n - u^{n-1} + dt^2 a_hom at the nodes nx and nx - 1
+            d2, d3 = (diff @ near_end).tolist()
+            p2, p3 = c2 + d2, c3 + d3
+            c_u = 2.0 * u_cur - u_prev
 
-        x0 = (3.0 * c_u - 4.0 * p2 + p3) / (2.0 * dx)
-        # partial memory of the boundary flux (all but the m = n+1 node)
-        wts2 = k[n + 1 : 0 : -1].copy()
-        wts2[0] *= 0.5
-        R = dt * (wts2 @ ux_r[: n + 1])
+            # the 2x2 closure; the flux memory lacks only its m = n+1 node
+            x0 = (3.0 * c_u - 4.0 * p2 + p3) / two_dx
+            rhs -= (wl[nt - 1 - n + n0 : nt] @ ux_r[n0 : n + 1]).item()
+            b1 = -(half * x0 - rhs + (3.0 * c_u - 4.0 * u_cur + u_prev) / (two_dt * p))
+            b2 = damp * y_cur + u_prev - u_cur
+            a_r = (b1 * a22 - a12 * b2) / det
+            y_cur = (a11 * b2 - a21 * b1) / det
+            s = dt2 * a_r
+            u_new = c_u + s  # abc ends in 1
+            if not (math.isfinite(u_new) and math.isfinite(y_cur)):
+                raise NonFinite("direct marching", step=n + 1)
+            ut_r = (3.0 * u_new - 4.0 * u_cur + u_prev) / two_dt
+            u_prev, u_cur = u_cur, u_new
+            steps.append((u_new, y_cur, (-ut_r - q * y_cur) / p, s))
 
-        b1 = -(half * x0 - R - g1[n + 1]
-               + (3.0 * c_u - 4.0 * u_r[n] + u_r[n - 1]) / (2.0 * dt * pd.p))
-        b2 = (pd.p - 0.5 * pd.q * dt) * y[n] + u_r[n - 1] - u_r[n]
-        a_r = (b1 * a22 - a12 * b2) / det
-        y_new = (a11 * b2 - a21 * b1) / det
-
-        # abc ends in 1, so the right end is c_u + dt^2 a_r
-        acc[n] = a_hom + a_r * abc_hat
-        prev, cur = cur, P + (dt**2 * a_r) * abc_hat
-        u_r[n + 1] = c_u + dt**2 * a_r
-        y[n + 1] = y_new
-        ut_r = (3.0 * u_r[n + 1] - 4.0 * u_r[n] + u_r[n - 1]) / (2.0 * dt)
-        yp[n + 1] = (-ut_r - pd.q * y_new) / pd.p
-        if not (np.isfinite(u_r[n + 1]) and np.isfinite(y_new)):
-            raise NonFinite("direct marching", step=n + 1)
-        dxx[n + 1] = u_r[n + 1] * lift - mu * cur
-        ux_r[n + 1] = (3.0 * u_r[n + 1] - 4.0 * (p2 + abc_near[0] * a_r)
-                       + (p3 + abc_near[1] * a_r)) / (2.0 * dx)
+            c2, c3 = p2 + s * abc2, p3 + s * abc3
+            ux_r[n + 1] = (3.0 * u_new - 4.0 * c2 + c3) / two_dx
+            diff += np.multiply(abc_hat, s, out=tmp)
+            cur += diff
+            np.multiply(neg_mu, cur, out=hs[n + 1])
+            hs[n + 1] += np.multiply(lift, u_new, out=tmp)
+    u[2:, -1], y[2:], yp[2:], sr = np.array(steps).T
 
     # Rows 2.. are the physical accelerations summed like the recurrence,
     # not back-transformed modes (see the module docstring); row blocks keep
-    # the transform's buffer small.
+    # the transform's buffer small, and each block takes its right-end
+    # accelerations' share a_r abc_hat in one product.
     for b in range(1, nt, 64):
-        acc[b : b + 64] = acc[b : b + 64] @ S
-    acc[1:] *= dt**2
+        blk = acc[b : b + 64]
+        blk += np.multiply.outer(sr[b - 1 : b + 63], abc_hat)
+        acc[b : b + 64] = blk @ S
     acc[0] -= u[0, 1:-1]
     np.cumsum(acc, axis=0, out=acc)  # differences u[n+1] - u[n]
     acc[0] += u[0, 1:-1]
@@ -399,7 +430,9 @@ def overdetermination(pd, u):
     """Measurement series from the displacement form of the sensor average.
 
     Uses exact sensor derivatives and never differentiates the discrete
-    field: f(t) = -integral of (phi' - beta phi''') u(., t).
+    field: f(t) = -integral of (phi' - beta phi''') u(., t), one product of
+    u with the sensor row's trapezoid weights.
     """
-    prof = profiles(pd)
-    return -quad_trapz(np.asarray(u, float) * prof.w_direct, pd.grid.dx)
+    wq = pd.grid.dx * profiles(pd).w_direct
+    wq[[0, -1]] *= 0.5
+    return -(np.asarray(u, float) @ wq)

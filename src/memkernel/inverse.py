@@ -75,8 +75,8 @@ from .equivalence import (EquivSetup, build_setup, check_compatibility,
                           sensor_functional, sensor_moment)
 from .errors import CompatibilityFailed, NoConvergence, NonFinite
 from .grids import _end_stencil_modes, _sine_modes, quad_trapz, second_diff
-from .timeconv import (Kernel, _toeplitz_rows, conv, conv_field, convolution_matrix,
-                       integrate_prefix, l2_time_norm, time_derivative)
+from .timeconv import (Kernel, conv, conv_field, convolution_matrix, integrate_prefix,
+                       l2_time_norm, lag_block, time_derivative)
 
 __all__ = [
     "InverseOptions",
@@ -473,25 +473,20 @@ def _solved_history(glob, k, n0, W, dt, dx):
     and spatial stencil act on different axes, so that tail is the
     ``second_diff`` of k * v's.  Every tail is one product with a lag
     block: rows n0..n0+W, columns 0..n0 of the convolution matrix of a
-    history zero-padded to n0+W+1 nodes (``timeconv._toeplitz_rows``),
-    the block of k' taking both sensor series' histories at once.
+    history, zero past n0 (``timeconv.lag_block``), the block of k' taking
+    both sensor series' histories at once.
     """
     hist = slice(0, n0 + 1)
-
-    def lag_block(a):
-        padded = np.zeros(n0 + W + 1)
-        padded[hist] = a[hist]
-        return _toeplitz_rows(padded, dt, n0, n0 + W + 1)[:, hist]
-
+    rows = (n0, n0 + W + 1, n0 + 1)
     series_hist = np.column_stack((glob["proj"][hist], glob["gfun"][hist]))
     heads = [convolution_matrix(glob[name][: W + 1], dt) for name in ("proj", "gfun")]
     return SimpleNamespace(
         k=convolution_matrix(k[: W + 1], dt),
         kp=convolution_matrix(glob["kp"][: W + 1], dt),
         series=np.stack(heads, axis=1).reshape(2 * (W + 1), W + 1),
-        series_tail=lag_block(glob["kp"]) @ series_hist,
+        series_tail=lag_block(glob["kp"][hist], dt, *rows) @ series_hist,
         vxx=second_diff(glob["v"][: W + 1], dx),
-        vxx_tail=second_diff(lag_block(k) @ glob["v"][hist], dx),
+        vxx_tail=second_diff(lag_block(k[hist], dt, *rows) @ glob["v"][hist], dx),
     )
 
 

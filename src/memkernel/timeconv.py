@@ -10,7 +10,10 @@ linear convolution less the two halved endpoint products, O(n) memory.  A
 field is multiplied by the lower-triangular convolution matrix one block of
 ``ROW_BLOCK`` rows at a time, each block shared by all of the field's
 columns and built by the helper that builds the whole matrix, so no call
-holds more than ``ROW_BLOCK * n`` matrix entries.
+holds more than ``ROW_BLOCK * n`` matrix entries.  That helper,
+``lag_block``, builds any block of the matrix of a series taken as zero
+past its length: the inverse iteration's window tails and the direct
+march's history before each block of steps are single products with one.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "convolution_matrix",
     "integrate_prefix",
     "l2_time_norm",
+    "lag_block",
     "time_derivative",
 ]
 
@@ -79,29 +83,34 @@ class Kernel:
         return cls(np.zeros(nt + 1), np.zeros(nt + 1), 0.0, dt)
 
 
-# Rows per block of a convolution matrix that a field is multiplied by, and
-# of the slabs of the H2-in-time norm (``energy``).
+# Rows per block of a convolution matrix that a field is multiplied by, of
+# the slabs of the H2-in-time norm (``energy``), and steps per history block
+# of the direct march.
 ROW_BLOCK = 128
 
 
-def _toeplitz_rows(k, dt, r0, r1):
-    """Rows ``r0:r1`` of ``convolution_matrix(k, dt)`` over its first ``r1``
-    columns; the columns past ``r1`` of these rows are its zero upper
-    triangle.
+def lag_block(k, dt, r0, r1, cols):
+    """Rows ``r0:r1``, columns ``0:cols`` of ``convolution_matrix(k, dt)``,
+    k being zero past its length.
 
-    With m = r1 - r0, (0, ..., 0, dt*k[:r1]) with m - 1 zeros, read from
-    the sample of dt*k[r0] with strides (+1, -1), has row i dt*k[r0+i], ...,
-    dt*k[0], 0, ...; scaling the samples rather than the entries gives the
-    same bits, because the trapezoid halvings are exact.
+    Entry (i, j) is dt*k[i-j] for 0 <= i - j < len(k) and 0 otherwise, with
+    column 0 and the diagonal halved and row 0 zero.  The m = r1 - r0 rows
+    read the samples of lags r0 - cols + 1 .. r1 - 1, held once with zeros
+    for the lags outside 0..len(k) - 1, with strides (+1, -1); scaling the
+    samples rather than the entries gives the same bits, because the
+    trapezoid halvings are exact.  Only the block itself is built.
     """
     m = r1 - r0
-    padded = np.zeros(m - 1 + r1)
-    np.multiply(dt, k[:r1], out=padded[m - 1 :])
-    step = padded.strides[0]
-    w = np.ndarray((m, r1), buffer=padded, offset=(m - 1 + r0) * step,
+    lo = r0 - cols + 1  # the lag of the samples' first entry
+    lags = np.zeros(m + cols - 1)
+    a, b = max(lo, 0), min(r1, k.shape[0])
+    if a < b:
+        np.multiply(dt, k[a:b], out=lags[a - lo : b - lo])
+    step = lags.strides[0]
+    w = np.ndarray((m, cols), buffer=lags, offset=(cols - 1) * step,
                    strides=(step, -step)).copy()
     w[:, 0] *= 0.5
-    w.flat[r0 :: r1 + 1] *= 0.5  # the diagonal
+    w[: max(cols - r0, 0)].flat[r0 :: cols + 1] *= 0.5  # the diagonal
     if r0 == 0:
         w[0, 0] = 0.0
     return w
@@ -114,7 +123,8 @@ def convolution_matrix(k, dt):
     row 0 is identically zero.
     """
     k = np.asarray(k, dtype=float)
-    return _toeplitz_rows(k, dt, 0, k.shape[0])
+    n = k.shape[0]
+    return lag_block(k, dt, 0, n, n)
 
 
 def conv(k, g, dt):
@@ -150,7 +160,7 @@ def conv_field(k, field, dt):
     out = np.empty(field.shape)
     for r0 in range(0, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
-        np.matmul(_toeplitz_rows(k, dt, r0, r1), field[:r1], out=out[r0:r1])
+        np.matmul(lag_block(k, dt, r0, r1, r1), field[:r1], out=out[r0:r1])
     return out
 
 

@@ -19,7 +19,7 @@ from memkernel.direct import (
 from memkernel.errors import BoundaryIncompatible
 from memkernel.expressions import parse
 from memkernel.grids import DispersiveInverse, _sine_modes, quad_trapz
-from memkernel.timeconv import Kernel
+from memkernel.timeconv import ROW_BLOCK, Kernel, convolution_matrix
 from verify import (
     equivalent_residual,
     overdetermination_flux_form,
@@ -109,6 +109,12 @@ def test_large_beta_stable_at_dt_equal_dx():
          residue=1e-12, seed=1)
 @example(nx=100, nt=60, beta=0.1, p=1.0, q=1.0, T=1.0, a=0.4, b=2.0, c=0.0,
          residue=1e-12, seed=2)  # nx + 1 = 101 is prime
+@example(nx=5, nt=128, beta=0.3, p=0.7, q=1.6, T=1.0, a=-0.6, b=3.0, c=0.2,
+         residue=0.0, seed=3)  # the steps end one short of a block edge
+@example(nx=4, nt=129, beta=0.1, p=1.0, q=1.0, T=1.0, a=0.4, b=2.0, c=0.0,
+         residue=1e-12, seed=4)  # the last step opens the second block
+@example(nx=6, nt=257, beta=0.5, p=2.0, q=0.4, T=1.0, a=0.9, b=1.0, c=-0.3,
+         residue=0.0, seed=5)  # two full blocks of 128 steps
 @given(
     nx=st.integers(3, 40),
     nt=st.integers(2, 60),
@@ -170,6 +176,34 @@ def test_march_does_no_dispersive_solve_per_step(monkeypatch):
         solve_direct(pd, kern)
         counts.append(len(calls))
     assert counts[0] == counts[1], counts
+
+
+def test_march_takes_its_history_one_lag_block_per_row_block(monkeypatch):
+    # the memory before each block of ROW_BLOCK steps is one lag-block
+    # product, so the count grows with the blocks, not the steps, and no
+    # convolution matrix is built
+    import memkernel.direct as direct
+    import memkernel.timeconv as timeconv
+
+    blocks, matrices = [], []
+
+    def counted_block(*args):
+        blocks.append(1)
+        return timeconv.lag_block(*args)
+
+    def counted_matrix(*args):
+        matrices.append(1)
+        return convolution_matrix(*args)
+
+    monkeypatch.setattr(direct, "lag_block", counted_block)
+    monkeypatch.setattr(timeconv, "convolution_matrix", counted_matrix)
+    for nt in (40, 1200):
+        pd = make_problem(nx=20, nt=nt)
+        kern = Kernel.from_expression(parse("0.4*cos(2*t)", "t"), pd.grid.t)
+        blocks.clear()
+        solve_direct(pd, kern)
+        assert len(blocks) == -(-(nt - 1) // ROW_BLOCK), (nt, len(blocks))
+    assert not matrices
 
 
 def test_dirichlet_zero_data():

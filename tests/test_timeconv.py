@@ -12,6 +12,7 @@ from memkernel.timeconv import (
     convolution_matrix,
     integrate_prefix,
     l2_time_norm,
+    lag_block,
     time_derivative,
 )
 from verify import check_young, check_zero_start, reference_convolution_matrix
@@ -96,6 +97,27 @@ def test_convolution_matrix_bitwise_equals_reference(n):
     ref = reference_convolution_matrix(k, dt)
     assert w.shape == ref.shape == (n, n)
     assert w.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@example(n=1, length=1, r0=0, rows=1, cols=1, seed=0)
+@example(n=300, length=300, r0=129, rows=128, cols=129, seed=1)  # a march block
+@example(n=300, length=150, r0=150, rows=100, cols=151, seed=2)  # a window's tail
+@example(n=300, length=300, r0=0, rows=128, cols=300, seed=3)  # a conv_field block
+@given(n=st.integers(1, 300), length=st.integers(1, 300), r0=st.integers(0, 299),
+       rows=st.integers(1, 160), cols=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_lag_block_is_a_block_of_the_padded_matrix(n, length, r0, rows, cols, seed):
+    # any block of the convolution matrix of k zero-padded to n nodes, to the
+    # bit, and only the block is returned
+    length, r0, cols = min(length, n), min(r0, n - 1), min(cols, n)
+    r1 = min(r0 + rows, n)
+    rng = np.random.default_rng(seed)
+    k = rng.standard_normal(length)
+    dt = rng.uniform(1e-3, 1.0)
+    ref = reference_convolution_matrix(np.r_[k, np.zeros(n - length)], dt)[r0:r1, :cols]
+    got = lag_block(k, dt, r0, r1, cols)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
