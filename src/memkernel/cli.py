@@ -18,14 +18,16 @@ from __future__ import annotations
 import argparse
 import sys
 import typing
-from dataclasses import dataclass
 from configparser import ConfigParser, Error as ConfigParserError
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import csvio
-from .direct import ProblemData, _check_clamped, solve_direct
+from .derivatives import derivative_stack_from_expression
+from .direct import ProblemData, profiles, solve_direct
 from .energy import energy_series
 from .equivalence import build_setup, check_compatibility
 from .errors import (
@@ -36,13 +38,13 @@ from .errors import (
     MemKernelError,
     NoConvergence,
 )
-from .expressions import differentiate, parse, sample, to_text
+from .expressions import parse, to_text
 from .grids import Grid
 from .inverse import InverseOptions, reconstruct
 from .rng import PortableRng
 from .timeconv import Kernel, l2_time_norm
 
-__all__ = ["main", "RunConfig", "load_config"]
+__all__ = ["main", "Run", "RunConfig", "load_config"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,7 +52,7 @@ EXIT_COMPAT = 3
 EXIT_NO_CONVERGENCE = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     beta: float = 0.1
     p: float = 1.0
@@ -73,6 +75,19 @@ class RunConfig:
     noise_sigma: float = 0.0
     noise_seed: int = 12345
     field_format: str = "long"
+
+
+@dataclass(frozen=True)
+class Run:
+    """A validated config and what the commands run from it: the parsed
+    expressions by key (k_true and f when set), the inverse options, and
+    the true kernel sampled from k_true (None without it)."""
+
+    cfg: RunConfig
+    pd: ProblemData
+    options: InverseOptions
+    exprs: dict
+    kernel: Kernel | None
 
 
 _SECTIONS = {
@@ -98,7 +113,8 @@ _ALIASES = {("noise", "sigma"): "noise_sigma", ("noise", "seed"): "noise_seed"}
 
 
 def load_config(path):
-    """Parse an INI config into a RunConfig, validating keys and types."""
+    """Parse an INI config, validating keys and types, and build the ``Run``
+    the commands take from it (``_build``)."""
     parser = ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.optionxform = str
     # syntax errors surface on reading, bad '%' interpolation on the lookup
@@ -109,7 +125,7 @@ def load_config(path):
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    cfg = RunConfig()
+    values = {}
     for section, section_items in items.items():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
@@ -118,115 +134,85 @@ def load_config(path):
             if _KEY_SECTION.get(name) != section:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
-                value = _KEY_TYPE[name](raw)
+                values[name] = _KEY_TYPE[name](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r} in [{section}]: {raw!r}") from exc
-            setattr(cfg, name, value)
-    _validate(cfg)
-    return cfg
+    return _build(RunConfig(**values))
 
 
-def _validate(cfg):
-    """Reject a bad config once, by building what the commands build.
+@contextmanager
+def _rejected(label=None):
+    """Re-raise a builder's rejection as a ``ConfigError``, prefixed with
+    ``label`` where the builder's message does not name the key."""
+    try:
+        yield
+    except (ValueError, EvaluationError, BoundaryIncompatible) as exc:
+        raise ConfigError(f"{label}: {exc}" if label else str(exc)) from exc
+
+
+def _build(cfg):
+    """Reject a bad config once, by building what the commands run.
 
     ``Grid``, ``ProblemData``, the expression parser and ``InverseOptions``
-    each check their own inputs and raise ``ValueError``; u0, u1 and phi are
-    then sampled on the space nodes, where the clamp rule of the solvers
-    applies, and k_true, its rate and f with the four derivatives the
-    inverse solver takes on the time nodes.
+    each check their own inputs; ``direct.profiles`` samples u0, u1 and phi
+    with every derivative the solvers take on the space nodes, where u0
+    meets the clamp; ``Kernel.from_expression`` samples k_true's rate, and
+    ``derivative_stack_from_expression`` f with its four derivatives, on the
+    time nodes.
     """
-    if cfg.sign_variant not in ("plus", "minus"):
-        raise ConfigError("sign_variant must be 'plus' or 'minus'")
-    # both names select the one estimator; the key stays so configs that
-    # set it still load
-    if cfg.derivative_mode not in ("auto", "chebfit"):
-        raise ConfigError("derivative_mode must be 'auto' or 'chebfit'")
-    if cfg.field_format not in ("long", "matrix"):
-        raise ConfigError("field_format must be 'long' or 'matrix'")
-    # InverseOptions sees only max(smooth_sigma, noise level), so a negative
-    # or infinite value would pass there unnoticed
-    if not 0 <= cfg.smooth_sigma < np.inf:
-        raise ConfigError("smooth_sigma must be finite and non-negative")
-    if not 0 <= cfg.noise_sigma < np.inf:
-        raise ConfigError("[noise] sigma must be finite and non-negative")
-    try:
-        pd = _problem(cfg)
-        _inverse_options(cfg, force=False)
-        for key in ("k_true", "f"):
-            if getattr(cfg, key) is not None:
-                _parse_key(cfg, key, "t")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    # the data must evaluate on the space nodes, and u0 meet the clamp; the
-    # kernel with its rate and the measurement with the four derivatives
-    # the inverse solver takes must evaluate on the time nodes
-    x, t = pd.grid.x, pd.grid.t
-    exprs = [("u0", pd.u0, x), ("u1", pd.u1, x), ("phi", pd.phi, x)]
-    for key, order in (("k_true", 1), ("f", 4)):
+    # derivative_mode's two names select the one estimator; the key stays
+    # so configs that set it still load
+    for key, allowed in (("sign_variant", ("plus", "minus")),
+                         ("derivative_mode", ("auto", "chebfit")),
+                         ("field_format", ("long", "matrix"))):
+        if getattr(cfg, key) not in allowed:
+            raise ConfigError(f"{key} must be {' or '.join(map(repr, allowed))}")
+    # InverseOptions would name smooth_sigma noise_sigma, and sees sigma only scaled
+    for key, label in (("smooth_sigma", "smooth_sigma"), ("noise_sigma", "[noise] sigma")):
+        if not 0 <= getattr(cfg, key) < np.inf:
+            raise ConfigError(f"{label} must be finite and non-negative")
+    exprs = {}
+    for key in _SECTIONS["functions"]:
         if getattr(cfg, key) is not None:
-            e = parse(getattr(cfg, key), "t")
-            exprs.append((key, e, t))
-            for _ in range(order):
-                e = differentiate(e)
-                exprs.append((key, e, t))
-    for key, expr, points in exprs:
-        try:
-            row = sample(expr, points)
-            if key == "u0":
-                _check_clamped(row)
-        except (EvaluationError, BoundaryIncompatible) as exc:
-            raise ConfigError(f"{key} on the grid: {exc}") from exc
+            with _rejected(f"cannot parse {key}"):
+                exprs[key] = parse(getattr(cfg, key), "t" if key in ("k_true", "f") else "x")
+    with _rejected():
+        grid = Grid(ell=cfg.ell, T=cfg.T, nx=cfg.nx, nt=cfg.nt)
+        pd = ProblemData(
+            beta=cfg.beta, p=cfg.p, q=cfg.q, ell=cfg.ell, T=cfg.T,
+            u0=exprs["u0"], u1=exprs["u1"], phi=exprs["phi"], grid=grid,
+        )
+        options = InverseOptions(
+            tol=cfg.tol, max_iter=cfg.max_iter, window_steps=cfg.window_steps,
+            vt_sign=+1.0 if cfg.sign_variant == "plus" else -1.0, noise_sigma=cfg.smooth_sigma,
+        )
+        profiles(pd)
+    kernel = None
+    if "k_true" in exprs:
+        with _rejected("k_true on the time nodes"):
+            kernel = Kernel.from_expression(exprs["k_true"], grid.t)
+    if "f" in exprs:
+        with _rejected("f on the time nodes"):
+            derivative_stack_from_expression(exprs["f"], grid.t)
+    return Run(cfg=cfg, pd=pd, options=options, exprs=exprs, kernel=kernel)
 
 
-def _parse_key(cfg, key, var):
-    try:
-        return parse(getattr(cfg, key), var)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {key}: {exc}") from exc
-
-
-def _problem(cfg):
-    grid = Grid(ell=cfg.ell, T=cfg.T, nx=cfg.nx, nt=cfg.nt)
-    return ProblemData(
-        beta=cfg.beta, p=cfg.p, q=cfg.q, ell=cfg.ell, T=cfg.T,
-        u0=_parse_key(cfg, "u0", "x"), u1=_parse_key(cfg, "u1", "x"),
-        phi=_parse_key(cfg, "phi", "x"), grid=grid,
-    )
-
-
-def _echo_config(cfg, out):
+def _echo_config(run, out):
     lines = []
     for section, keys in _SECTIONS.items():
         lines.append(f"[{section}]")
         for name in keys:
-            value = getattr(cfg, name)
-            if value is None:
-                continue
-            if name in ("u0", "u1", "phi"):
-                value = to_text(parse(value, "x"))
-            elif name in ("k_true", "f"):
-                value = to_text(parse(value, "t"))
-            lines.append(f"{name} = {value}")
+            value = to_text(run.exprs[name]) if name in run.exprs else getattr(run.cfg, name)
+            if value is not None:
+                lines.append(f"{name} = {value}")
         lines.append("")
     csvio.write_text(out / "resolved_config.ini", "\n".join(lines))
 
 
-def _inverse_options(cfg, force, sigma_abs=0.0):
-    return InverseOptions(
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        window_steps=cfg.window_steps,
-        vt_sign=+1.0 if cfg.sign_variant == "plus" else -1.0,
-        noise_sigma=max(cfg.smooth_sigma, sigma_abs),
-        force=force,
-    )
-
-
-def _write_field(path, pd, field, fmt):
-    if fmt == "matrix":
-        csvio.write_field_matrix(path, pd.grid.x, pd.grid.t, field)
-    else:
-        csvio.write_field_long(path, pd.grid.x, pd.grid.t, field)
+def _write_field(path, run, field):
+    matrix = run.cfg.field_format == "matrix"
+    write = csvio.write_field_matrix if matrix else csvio.write_field_long
+    write(path, run.pd.grid.x, run.pd.grid.t, field)
 
 
 def _write_energy(out, pd, u):
@@ -239,10 +225,10 @@ def _write_energy(out, pd, u):
     return track
 
 
-def _require_kernel(cfg):
-    if cfg.k_true is None:
+def _require_kernel(run):
+    if run.kernel is None:
         raise ConfigError("this command needs k_true under [functions]")
-    return Kernel.from_expression(parse(cfg.k_true, "t"), np.linspace(0, cfg.T, cfg.nt + 1))
+    return run.kernel
 
 
 def _noisy_measurement(cfg, f):
@@ -252,25 +238,23 @@ def _noisy_measurement(cfg, f):
     return f + cfg.noise_sigma * scale * noise
 
 
-def cmd_direct(cfg, out, args):
-    pd = _problem(cfg)
-    kern = _require_kernel(cfg)
-    sol = solve_direct(pd, kern)
-    _write_field(out / "u.csv", pd, sol.u, cfg.field_format)
+def cmd_direct(run, out, args):
+    pd = run.pd
+    sol = solve_direct(pd, _require_kernel(run))
+    _write_field(out / "u.csv", run, sol.u)
     csvio.write_columns(out / "y.csv", "t,y,yprime", [pd.grid.t, sol.y, sol.yprime])
     csvio.write_timeseries(out / "f.csv", pd.grid.t, sol.f)
     _write_energy(out, pd, sol.u)
     return EXIT_OK
 
 
-def cmd_synth(cfg, out, args):
-    pd = _problem(cfg)
-    kern = _require_kernel(cfg)
-    sol = solve_direct(pd, kern)
+def cmd_synth(run, out, args):
+    pd = run.pd
+    sol = solve_direct(pd, _require_kernel(run))
     csvio.write_timeseries(out / "f.csv", pd.grid.t, sol.f)
-    if cfg.noise_sigma > 0:
+    if run.cfg.noise_sigma > 0:
         csvio.write_timeseries(
-            out / "f_noisy.csv", pd.grid.t, _noisy_measurement(cfg, sol.f)
+            out / "f_noisy.csv", pd.grid.t, _noisy_measurement(run.cfg, sol.f)
         )
     setup = build_setup(pd, sol.f)
     report = check_compatibility(setup, pd)
@@ -278,12 +262,12 @@ def cmd_synth(cfg, out, args):
     return EXIT_OK
 
 
-def cmd_check(cfg, out, args):
-    pd = _problem(cfg)
-    if cfg.f is not None:
-        measurement = parse(cfg.f, "t")
-    elif cfg.k_true is not None:
-        measurement = solve_direct(pd, _require_kernel(cfg)).f
+def cmd_check(run, out, args):
+    pd = run.pd
+    if "f" in run.exprs:
+        measurement = run.exprs["f"]
+    elif run.kernel is not None:
+        measurement = solve_direct(pd, run.kernel).f
     else:
         measurement = np.zeros(pd.grid.nt + 1)
     setup = build_setup(pd, measurement)
@@ -293,43 +277,38 @@ def cmd_check(cfg, out, args):
     return EXIT_OK
 
 
-def cmd_energy(cfg, out, args):
-    pd = _problem(cfg)
-    kern = _require_kernel(cfg)
-    sol = solve_direct(pd, kern)
-    track = _write_energy(out, pd, sol.u)
+def cmd_energy(run, out, args):
+    sol = solve_direct(run.pd, _require_kernel(run))
+    track = _write_energy(out, run.pd, sol.u)
     inner = track.e1[2:-2]
     drift = float(np.max(np.abs(inner - inner[0])))
     print(f"E1_drift={drift!r}")
     return EXIT_OK
 
 
-def cmd_invert(cfg, out, args):
-    pd = _problem(cfg)
-    twin = bool(args.twin)
-    if twin:
-        if cfg.k_true is None:
+def cmd_invert(run, out, args):
+    cfg, pd, f, kern_true = run.cfg, run.pd, run.exprs.get("f"), run.kernel
+    if args.twin:
+        if kern_true is None:
             raise ConfigError("twin mode needs k_true under [functions]")
-        if cfg.f is not None:
+        if f is not None:
             raise ConfigError("twin mode and a measurement f are mutually exclusive")
-    elif (cfg.f is None) == (cfg.k_true is None):
+    elif (f is None) == (kern_true is None):
         raise ConfigError("invert needs exactly one of f (measurement) or k_true (--twin)")
 
     sigma_abs = 0.0
-    if twin or cfg.f is None:
-        kern_true = _require_kernel(cfg)
+    if f is None:
         f = solve_direct(pd, kern_true).f
         if cfg.noise_sigma > 0:
             sigma_abs = cfg.noise_sigma * float(np.max(np.abs(f)))
             f = _noisy_measurement(cfg, f)
-    else:
-        kern_true = None
-        f = parse(cfg.f, "t")
 
-    rec = reconstruct(pd, f, _inverse_options(cfg, args.force, sigma_abs))
+    options = replace(run.options, force=args.force,
+                      noise_sigma=max(run.options.noise_sigma, sigma_abs))
+    rec = reconstruct(pd, f, options)
     t = pd.grid.t
     csvio.write_columns(out / "k.csv", "t,k,kprime", [t, rec.kernel.k, rec.kernel.kprime])
-    _write_field(out / "v.csv", pd, rec.v, cfg.field_format)
+    _write_field(out / "v.csv", run, rec.v)
     csvio.write_columns(
         out / "y.csv", "t,y,yprime,y2,y3", [t, rec.y, rec.yprime, rec.y2, rec.y3]
     )
@@ -381,24 +360,17 @@ def _build_parser():
                     help="proceed despite compatibility failures")
     ap.add_argument("--twin", action="store_true",
                     help="invert: synthesize the measurement from k_true in-process")
-    ap.add_argument("--sign-variant", choices=["plus", "minus"], default=None,
-                    help="sign of the velocity-projection term in the kernel update")
-    ap.add_argument("--field-format", choices=["long", "matrix"], default=None)
     return ap
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.sign_variant is not None:
-            cfg.sign_variant = args.sign_variant
-        if args.field_format is not None:
-            cfg.field_format = args.field_format
+        run = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _echo_config(cfg, out)
-        return _COMMANDS[args.command](cfg, out, args)
+        _echo_config(run, out)
+        return _COMMANDS[args.command](run, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -67,7 +67,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BoundaryIncompatible, NonFinite
+from .errors import BoundaryIncompatible, EvaluationError, NonFinite
 from .expressions import FuncExpr, differentiate, sample
 from .grids import DispersiveInverse, Grid, _first_diff_ends, _sine_modes, second_diff
 from .timeconv import ROW_BLOCK, lag_block
@@ -138,9 +138,16 @@ def profile_exprs(pd: ProblemData):
 
 @lru_cache(maxsize=16)
 def profiles(pd: ProblemData) -> Profiles:
-    x = pd.grid.x
-    rows = dict(u0=sample(pd.u0, x), u1=sample(pd.u1, x), phi=sample(pd.phi, x))
-    rows.update((name, sample(expr, x)) for name, expr in profile_exprs(pd).items())
+    """The data on the space nodes.  As the one place u0 is sampled, it
+    enforces the clamp; an error names the row that fails, as u0''."""
+    x, rows = pd.grid.x, {}
+    for name, expr in dict(u0=pd.u0, u1=pd.u1, phi=pd.phi, **profile_exprs(pd)).items():
+        try:
+            rows[name] = sample(expr, x)
+        except EvaluationError as exc:
+            label = name.rstrip("p").ljust(len(name), "'")  # u0pp -> u0''
+            raise EvaluationError(f"{label} on the space nodes: {exc}") from exc
+    _check_clamped(rows["u0"])
     rows["w_direct"] = rows["phip"] - pd.beta * rows["phippp"]
     for row in rows.values():
         row.flags.writeable = False  # shared by every caller of the cache
@@ -205,7 +212,6 @@ def solve_direct(pd, kernel, forcing=None, flux_forcing=None):
     k = np.asarray(kernel.k, dtype=float)
     if k.shape[0] != nt + 1:
         raise ValueError("kernel is not sampled on the grid's time nodes")
-    _check_clamped(prof.u0)
 
     F = None if forcing is None else np.asarray(forcing, float)
     g1 = np.zeros(nt + 1) if flux_forcing is None else np.asarray(flux_forcing, float)

@@ -151,8 +151,9 @@ class WindowData:
     matrices ``k`` and ``kp`` of the kernel's and the rate's head, the
     stacked matrix ``series`` of the two sensor series' heads, the (W+1, 2)
     ``series_tail``, and the v_xx head and tail ``vxx``, ``vxx_tail`` in
-    sine coefficients (see ``_solved_history``).  ``vxx_tail`` is the
-    physical v_xx tail that the Picard seed's march reads.
+    sine coefficients (see ``_solved_history``).  ``seed_memory`` is that
+    tail on the physical nodes: the solved span's memory, which the Picard
+    seed's march subtracts from its forcing.
     """
 
     pd_w: object  # ProblemData restricted to the window's time span
@@ -169,7 +170,7 @@ class WindowData:
     vxx0: np.ndarray
     # the solved span (present when start > 0); see ``_solved_history``
     hist: SimpleNamespace | None = None
-    vxx_tail: np.ndarray | None = None
+    seed_memory: np.ndarray | None = None
 
 
 @dataclass
@@ -334,8 +335,8 @@ def _initial_state(win, setup, pd, kprime0=0.0):
     W = win.steps
     kp = np.full(W + 1, kprime0)
     K = -win.k_seam * np.outer(np.ones(W + 1), prof.u0pp)
-    if win.vxx_tail is not None:
-        K -= win.vxx_tail
+    if win.seed_memory is not None:
+        K -= win.seed_memory
     v = solve_linear_dirichlet(win.pd_w, win.u_tau, setup.v1row, K, win.u_before)
     vhat = _project(v, win.modes.S)
     vhat[0] = win.seed[0]
@@ -494,8 +495,9 @@ def _window_data(pd, setup, n0, W, glob=None):
     """Inputs of the window of W steps at node n0, reading its seams and the
     solved history from the solved span ``glob`` (unused when n0 == 0); the
     seam values of k and y'' integrate its k' and y''' over nodes 0..n0.
-    The solved span's memory operators are built here, once, with the v_xx
-    head and tail projected."""
+    The solved span's memory operators are built here, once and read-only,
+    with the v_xx head and tail projected; the physical tail is kept apart
+    for the Picard seed."""
     grid = pd.grid
     dt, dx = grid.dt, grid.dx
     pd_w = replace(pd, T=W * dt, grid=grid.time_window(W))
@@ -507,11 +509,11 @@ def _window_data(pd, setup, n0, W, glob=None):
         hist = slice(0, n0 + 1)
         k = integrate_prefix(glob["kp"][hist], setup.k0, dt)
         y2 = integrate_prefix(glob["y3"][hist], setup.y2prime0, dt)
-        ops = _read_only(_solved_history(glob, k, n0, W, dt, dx))
-        span = dict(hist=ops, vxx_tail=ops.vxx_tail)
-        ops.vxx = _project(ops.vxx, modes.S)
-        ops.vxx_tail = _project(ops.vxx_tail, modes.S)
-        _read_only(ops)
+        ops = _solved_history(glob, k, n0, W, dt, dx)
+        modal = dict(vars(ops), vxx=_project(ops.vxx, modes.S),
+                     vxx_tail=_project(ops.vxx_tail, modes.S))
+        span = dict(hist=_read_only(SimpleNamespace(**modal)), seed_memory=ops.vxx_tail)
+        ops.vxx_tail.flags.writeable = False
         v = glob["v"]
         k_seam, y2_seam, u_tau, u_before = float(k[n0]), float(y2[n0]), v[n0], v[n0 - 1]
     vxx0 = second_diff(u_tau, dx)

@@ -66,7 +66,7 @@ def test_rng_differs_across_seeds():
 
 
 def test_load_config_defaults_and_overrides(tmp_path):
-    cfg = load_config(write_config(tmp_path))
+    cfg = load_config(write_config(tmp_path)).cfg
     assert cfg.nx == 60
     assert cfg.noise_sigma == pytest.approx(1e-3)
     assert cfg.k_true is not None
@@ -151,7 +151,8 @@ def test_readme_config_block_runs_as_written(tmp_path):
     [("beta = 0.1", "beta = 0"), ("nx = 60", "nx = 2"),
      (f"u0 = sin({2 * np.pi}*x)", "u0 = sin("),
      ("beta = 0.1", "beta = nan"), ("p = 1.0", "p = inf"), ("T = 1.0", "T = nan"),
-     (f"u0 = sin({2 * np.pi}*x)", "u0 = 1+x"), (f"u0 = sin({2 * np.pi}*x)", "u0 = 1/x")],
+     (f"u0 = sin({2 * np.pi}*x)", "u0 = 1+x"), (f"u0 = sin({2 * np.pi}*x)", "u0 = 1/x"),
+     (f"u0 = sin({2 * np.pi}*x)", "u0 = x^2/(x+1e-200)")],
 )
 def test_bad_problem_input_exits_config(tmp_path, capsys, old, new):
     _assert_invert_exits_config(tmp_path, capsys, old, new)
@@ -189,10 +190,9 @@ def test_direct_requires_kernel(tmp_path):
 
 
 def test_matrix_field_format(tmp_path):
-    cfgp = write_config(tmp_path)
+    cfgp = write_config(tmp_path, TWIN_CONFIG + "\n[output]\nfield_format = matrix\n")
     out = tmp_path / "mat"
-    assert main(["direct", "--config", str(cfgp), "--out", str(out),
-                 "--field-format", "matrix"]) == 0
+    assert main(["direct", "--config", str(cfgp), "--out", str(out)]) == 0
     first = (out / "u.csv").read_text().splitlines()[0]
     assert first.startswith("t\\x,0.0,")
 

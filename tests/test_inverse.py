@@ -639,7 +639,7 @@ def test_window_operators_are_read_only(n0, W):
     win = _window_data(pd, setup, n0, W, glob)
     cached = list(vars(win.modes).values())
     if n0 > 0:
-        cached += list(vars(win.hist).values()) + [win.vxx_tail]
+        cached += list(vars(win.hist).values()) + [win.seed_memory]
         assert set(vars(win.hist)) == {"k", "kp", "series", "series_tail", "vxx", "vxx_tail"}
     for arr in cached:
         with pytest.raises(ValueError):
