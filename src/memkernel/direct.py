@@ -139,7 +139,8 @@ def profile_exprs(pd: ProblemData):
 @lru_cache(maxsize=16)
 def profiles(pd: ProblemData) -> Profiles:
     """The data on the space nodes.  As the one place u0 is sampled, it
-    enforces the clamp; an error names the row that fails, as u0''."""
+    enforces the clamp on u0 and u1; an error names the row that fails, as
+    u0''."""
     x, rows = pd.grid.x, {}
     for name, expr in dict(u0=pd.u0, u1=pd.u1, phi=pd.phi, **profile_exprs(pd)).items():
         try:
@@ -147,7 +148,7 @@ def profiles(pd: ProblemData) -> Profiles:
         except EvaluationError as exc:
             label = name.rstrip("p").ljust(len(name), "'")  # u0pp -> u0''
             raise EvaluationError(f"{label} on the space nodes: {exc}") from exc
-    _check_clamped(rows["u0"])
+    _check_clamped(rows["u0"], rows["u1"])
     rows["w_direct"] = rows["phip"] - pd.beta * rows["phippp"]
     for row in rows.values():
         row.flags.writeable = False  # shared by every caller of the cache
@@ -164,11 +165,15 @@ class DirectSolution:
     f: np.ndarray
 
 
-def _check_clamped(u0row):
-    """Raise ``BoundaryIncompatible`` unless the sampled u0 vanishes at the
-    clamped end x=0, to a tolerance relative to the row's size."""
-    if abs(u0row[0]) > 1e-10 * (1.0 + np.max(np.abs(u0row))):
+def _check_clamped(u0row, u1row):
+    """Raise ``BoundaryIncompatible`` unless the sampled u0 and u1 vanish at
+    the clamped end x=0, to tolerances relative to the rows' size: u1 to
+    that of ``equivalence.check_compatibility``'s ``u1_clamped`` row."""
+    u0_max = np.max(np.abs(u0row))
+    if abs(u0row[0]) > 1e-10 * (1.0 + u0_max):
         raise BoundaryIncompatible("u0(0) != 0 violates the clamped condition")
+    if abs(u1row[0]) > 1e-8 * (1.0 + max(u0_max, np.max(np.abs(u1row)))):
+        raise BoundaryIncompatible("u1(0) != 0 violates the clamped condition")
 
 
 def _initial_oscillator(pd, prof, k0, g=None):

@@ -24,12 +24,16 @@ span is built once per window (``_solved_history``): the history x history
 tails and the convolution matrices of the heads of k, k' and the two sensor
 series.  A Picard step takes the two sensor series as one (W+1, 2) block,
 with one time derivative and one memory product of those matrices with the
-increments; the field memory convolves the kernel's increment with the v_xx
-head through ``timeconv.conv_field``, which builds no whole convolution
-matrix.  The solved span keeps v, k', y''' and the two sensor series of v;
-k, y'' and v_xx are derived where they are read.  The map takes its sensor
-rates as time derivatives of those series, so it forms no time derivative
-of a field.
+increments.  From those three it forms k' and y''' as the two columns of a
+second block, with the window's measurement columns f'/psi(ell) and
+f''/psi(ell); one prefix integral from the seam values of k and y'' gives
+[k, y''], and with z'' written into its second column, that block times
+fixed modal rows is the march forcing.  The field memory convolves the
+kernel's increment with the v_xx head through ``timeconv.conv_field``,
+which builds no whole convolution matrix.  The solved span keeps v, k',
+y''' and the two sensor series of v; k, y'' and v_xx are derived where
+they are read.  The map takes its sensor rates as time derivatives of
+those series, so it forms no time derivative of a field.
 
 The iterate's field is held as sine coefficients of its rows, row 0 being
 the projected seam row.  In that basis the map does no transform: the
@@ -41,7 +45,10 @@ the Dirichlet march is its three-level recurrence.  The iteration metric is
 over slabs of rows; the difference of two iterates is formed one slab at a
 time.  Only the seam row, which may have nonzero ends, is read in physical
 space, once per window, and the physical field is formed once per accepted
-window.
+window.  Each accepted window records a norm track.  On window 0, whose
+seam row may have nonzero ends, it is ``solution_norm`` of the physical
+rows; on later windows, whose rows all vanish at both ends, it is the
+iteration metric of the accepted iterate, which equals that to roundoff.
 
 Without a fixed ``window_steps`` the widths are chosen for cost.  On this
 Volterra system the Picard distances follow d_n = d_(n-1) c / n, with c
@@ -144,26 +151,29 @@ class WindowData:
     The march continues the global one from ``u_before`` and ``u_tau``, the
     solved levels n0-1 and n0; window 0 has no ``u_before`` and takes the
     Taylor start from the initial velocity.  ``seed`` is that start in sine
-    modes (``direct._dirichlet_seed``).  The seam row may have nonzero ends,
-    so its two sensor series values ``row0`` and its v_xx modes ``vxx0``
-    are taken on the physical row.  ``hist`` holds the memory operators of
-    the solved span, built once per window and read-only: the convolution
-    matrices ``k`` and ``kp`` of the kernel's and the rate's head, the
-    stacked matrix ``series`` of the two sensor series' heads, the (W+1, 2)
-    ``series_tail``, and the v_xx head and tail ``vxx``, ``vxx_tail`` in
-    sine coefficients (see ``_solved_history``).  ``seed_memory`` is that
-    tail on the physical nodes: the solved span's memory, which the Picard
-    seed's march subtracts from its forcing.
+    modes (``direct._dirichlet_seed``).  ``seam`` holds k and y'' at node
+    n0, from which the map integrates its [k', y'''] block, and ``fpsi``
+    the measurement columns f'/psi(ell) and f''/psi(ell) that its sensor
+    series and their rates take; both are read-only.  The seam row may have
+    nonzero ends, so its two sensor series values ``row0`` and its v_xx
+    modes ``vxx0`` are taken on the physical row.  ``hist`` holds the
+    memory operators of the solved span, built once per window and
+    read-only: the convolution matrices ``k`` and ``kp`` of the kernel's and
+    the rate's head, the stacked matrix ``series`` of the two sensor series'
+    heads, the (W+1, 2) ``series_tail``, and the v_xx head and tail
+    ``vxx``, ``vxx_tail`` in sine coefficients (see ``_solved_history``).
+    ``seed_memory`` is that tail on the physical nodes: the solved span's
+    memory, which the Picard seed's march subtracts from its forcing.
     """
 
     pd_w: object  # ProblemData restricted to the window's time span
     start: int  # global index of the window's first node
     steps: int  # W: number of time steps in the window
-    k_seam: float
-    y2_seam: float
+    seam: np.ndarray  # (k, y'') at the seam node
     u_tau: np.ndarray
     u_before: np.ndarray | None
     f: np.ndarray  # (5, W+1) measurement derivative slices
+    fpsi: np.ndarray  # (W+1, 2): f'/psi(ell), f''/psi(ell)
     modes: SimpleNamespace  # ``_map_modes``: the problem's, shared by every window
     seed: tuple
     row0: tuple  # (phi''' projection, linear part of G) of the seam row
@@ -209,9 +219,10 @@ def _map_modes(pd):
     ``sensor @ w`` is its phi''' projection (a_proj = dx S phi''') and the part
     of G linear in it: a_g is dx (-mu) (S psi) plus the trapezoid's halved
     end weights psi(0), psi(ell) on the one-sided v_xx end stencils, over
-    psi(ell).  ``forcing`` (2, nx): ``[z'', k] @ forcing`` are the modes of
-    z'' x/ell - k u0''.  ``gain`` and ``c`` are the Dirichlet march's,
-    ``S`` and ``neg_mu`` (-mu) those of ``grids._sine_modes``.
+    psi(ell).  ``forcing`` (2, nx): ``[k, z''] @ forcing`` are the modes of
+    z'' x/ell - k u0'', its rows in the column order of ``apply_map_A``'s
+    block.  ``gain`` and ``c`` are the Dirichlet march's, ``S`` and
+    ``neg_mu`` (-mu) those of ``grids._sine_modes``.
     """
     grid, prof, psi = pd.grid, profiles(pd), sensor_moment(pd)
     nx, dx = grid.nx, grid.dx
@@ -220,7 +231,7 @@ def _map_modes(pd):
     sd0, sdl = _end_stencil_modes(nx, dx)[2:]
     a_g = dx * (-mu) * (S @ psi[1:-1]) + 0.5 * dx * (psi[0] * sd0 + psi[-1] * sdl)
     sensor = np.stack([dx * (S @ prof.phippp[1:-1]), a_g / psi[-1]])
-    forcing = _project(np.stack([grid.x / pd.ell, -prof.u0pp]), S)
+    forcing = _project(np.stack([-prof.u0pp, grid.x / pd.ell]), S)
     return _read_only(SimpleNamespace(S=S, neg_mu=-mu, gain=gain, c=c, sensor=sensor,
                                       forcing=forcing))
 
@@ -291,39 +302,51 @@ def _sensor_series(vhat, win):
 
 
 def apply_map_A(state, win, setup, pd, vt_sign=1.0):
-    """One application of the fixed-point map on a window, in sine modes."""
+    """One application of the fixed-point map on a window, in sine modes.
+
+    k' and y''' are the two columns of one (W+1, 2) block, made from the
+    sensor-series block, its rates and its memory.  One prefix integral from
+    the seam pair turns it into [k, y'']; its second column then becomes
+    z'' = p y''' + q y'', and the block times the forcing rows is the march
+    forcing."""
     dt, W, modes = win.pd_w.grid.dt, win.steps, win.modes
 
-    vhat, kp_old = state.vhat, state.kprime
+    vhat = state.vhat
     # the phi''' projection and G of v as one block, with its rates and memory
     series = _sensor_series(vhat, win)
     rates = time_derivative(series, dt)
-    series[:, 1] += win.f[1] / setup.psi_ell
-    rates[:, 1] += win.f[2] / setup.psi_ell
-    mem = _series_memory(kp_old, series, win.hist, dt)
-    (proj_v, g_of_v), (proj_vt, gp_of_v), (mem_proj, mem_g) = series.T, rates.T, mem.T
+    series[:, 1] += win.fpsi[:, 0]
+    rates[:, 1] += win.fpsi[:, 1]
+    mem = _series_memory(state.kprime, series, win.hist, dt)
 
-    kp_new = setup.alpha * (
-        win.f[4] + vt_sign * proj_vt - setup.k0 * proj_v - mem_proj
-    )
-    k_new = integrate_prefix(kp_new, win.k_seam, dt)
-    y3 = gp_of_v - kp_new * setup.ghat_u0 - setup.k0 * g_of_v - mem_g
-    y2 = integrate_prefix(y3, win.y2_seam, dt)
-    z2 = pd.p * y3 + pd.q * y2
+    # k' = alpha (f'''' + vt_sign proj_t - k0 proj - mem_proj) and
+    # y''' = G_t - ghat_u0 k' - k0 G - mem_G, in place of the rates
+    rates[:, 0] *= vt_sign
+    series *= setup.k0
+    rates -= series
+    rates -= mem
+    rates[:, 0] += win.f[4]
+    rates[:, 0] *= setup.alpha
+    rates[:, 1] -= setup.ghat_u0 * rates[:, 0]
+    kp_new, y3 = rates.T
+
+    k_z2 = integrate_prefix(rates, win.seam, dt)  # [k, y''], then [k, z'']
+    k_z2[:, 1] *= pd.q
+    k_z2[:, 1] += pd.p * y3
 
     vxx = vhat * modes.neg_mu
     vxx[0] = win.vxx0
-    mem_field = _field_memory(k_new, vxx, win.hist, dt)
+    mem_field = _field_memory(k_z2[:, 0], vxx, win.hist, dt)
     # the march reads the forcing of levels 0..W-1, scaled by its gain
     vhat_new = np.empty_like(vhat)
     vhat_new[0] = win.seed[0]
     h = vhat_new[1:]
-    np.matmul(np.column_stack((z2[:W], k_new[:W])), modes.forcing, out=h)
+    np.matmul(k_z2[:W], modes.forcing, out=h)
     h -= mem_field[:W]
     h *= modes.gain
     _march_modes(h, win.seed, modes.c)
 
-    if not (np.all(np.isfinite(vhat_new)) and np.all(np.isfinite(kp_new))):
+    if not (np.isfinite(vhat_new).all() and np.isfinite(kp_new).all()):
         raise NonFinite("fixed-point map output")
     return IterState(vhat=vhat_new, kprime=kp_new, yccc=y3)
 
@@ -334,7 +357,7 @@ def _initial_state(win, setup, pd, kprime0=0.0):
     prof = profiles(pd)
     W = win.steps
     kp = np.full(W + 1, kprime0)
-    K = -win.k_seam * np.outer(np.ones(W + 1), prof.u0pp)
+    K = -win.seam[0] * np.outer(np.ones(W + 1), prof.u0pp)
     if win.seed_memory is not None:
         K -= win.seed_memory
     v = solve_linear_dirichlet(win.pd_w, win.u_tau, setup.v1row, K, win.u_before)
@@ -502,9 +525,10 @@ def _window_data(pd, setup, n0, W, glob=None):
     dt, dx = grid.dt, grid.dx
     pd_w = replace(pd, T=W * dt, grid=grid.time_window(W))
     fslice = setup.f_derivs[:, n0 : n0 + W + 1]
+    fpsi = fslice[1:3].T / setup.psi_ell
     modes, span = _map_modes(pd), {}
     if n0 == 0:
-        k_seam, y2_seam, u_tau, u_before = setup.k0, setup.y2prime0, setup.v0row, None
+        seam, u_tau, u_before = (setup.k0, setup.y2prime0), setup.v0row, None
     else:
         hist = slice(0, n0 + 1)
         k = integrate_prefix(glob["kp"][hist], setup.k0, dt)
@@ -515,13 +539,16 @@ def _window_data(pd, setup, n0, W, glob=None):
         span = dict(hist=_read_only(SimpleNamespace(**modal)), seed_memory=ops.vxx_tail)
         ops.vxx_tail.flags.writeable = False
         v = glob["v"]
-        k_seam, y2_seam, u_tau, u_before = float(k[n0]), float(y2[n0]), v[n0], v[n0 - 1]
+        seam, u_tau, u_before = (k[n0], y2[n0]), v[n0], v[n0 - 1]
+    seam = np.array(seam, dtype=float)
+    for a in (seam, fpsi):
+        a.flags.writeable = False
     vxx0 = second_diff(u_tau, dx)
     row0 = (float(quad_trapz(u_tau * profiles(pd).phippp, dx)),
             float(sensor_functional(setup, 0.0, vxx0, dx)))
     return WindowData(
-        pd_w=pd_w, start=n0, steps=W, k_seam=k_seam, y2_seam=y2_seam,
-        u_tau=u_tau, u_before=u_before, f=fslice, modes=modes,
+        pd_w=pd_w, start=n0, steps=W, seam=seam,
+        u_tau=u_tau, u_before=u_before, f=fslice, fpsi=fpsi, modes=modes,
         seed=_dirichlet_seed(pd_w, u_tau, setup.v1row, u_before), row0=row0,
         vxx0=_project(vxx0, modes.S), **span,
     )
@@ -597,11 +624,16 @@ def reconstruct(pd, f, options=InverseOptions()):
         v_w[0] = win.u_tau
         series = _sensor_series(state.vhat, win)
         glob["proj"][rows] = series[new, 0]
-        glob["gfun"][rows] = win.f[1][new] / setup.psi_ell + series[new, 1]
+        glob["gfun"][rows] = win.fpsi[new, 0] + series[new, 1]
         glob["kp"][rows] = state.kprime[new]
         glob["y3"][rows] = state.yccc[new]
 
-        track = solution_norm(v_w, win.pd_w.grid) + l2_time_norm(state.kprime, dt)
+        # a later window's rows vanish at both ends, so the iteration metric
+        # measures them as solution_norm does; window 0's seam row may not
+        if n0 == 0:
+            track = solution_norm(v_w, win.pd_w.grid) + l2_time_norm(state.kprime, dt)
+        else:
+            track = _state_norm(state, win.pd_w.grid)
         if prev_track is not None and track > NORM_TRACK_BOUND * prev_track:
             warnings.warn(
                 f"window norm grew from {prev_track:.3g} to {track:.3g}, "

@@ -152,7 +152,7 @@ def test_readme_config_block_runs_as_written(tmp_path):
      (f"u0 = sin({2 * np.pi}*x)", "u0 = sin("),
      ("beta = 0.1", "beta = nan"), ("p = 1.0", "p = inf"), ("T = 1.0", "T = nan"),
      (f"u0 = sin({2 * np.pi}*x)", "u0 = 1+x"), (f"u0 = sin({2 * np.pi}*x)", "u0 = 1/x"),
-     (f"u0 = sin({2 * np.pi}*x)", "u0 = x^2/(x+1e-200)")],
+     (f"u0 = sin({2 * np.pi}*x)", "u0 = x^2/(x+1e-200)"), ("u1 = 0*x", "u1 = 1+x")],
 )
 def test_bad_problem_input_exits_config(tmp_path, capsys, old, new):
     _assert_invert_exits_config(tmp_path, capsys, old, new)

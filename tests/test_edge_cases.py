@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_problem
 from memkernel.equivalence import EquivSetup, sensor_functional
-from memkernel.errors import EvaluationError, PsiDegenerate
+from memkernel.errors import BoundaryIncompatible, EvaluationError, PsiDegenerate
 from memkernel.expressions import parse
 from memkernel.grids import Grid
 from memkernel.timeconv import Kernel
@@ -84,9 +84,9 @@ def test_build_setup_rejects_misshaped_series():
         build_setup(pd, np.zeros(7))
 
 
-def test_u1_violating_clamp_warns():
+def test_u1_violating_clamp_raises():
     pd = make_problem(nx=30, nt=20, u1="1+0*x")
     from memkernel.equivalence import build_setup
 
-    with pytest.warns(UserWarning, match="x=0"):
+    with pytest.raises(BoundaryIncompatible, match="u1"):
         build_setup(pd, parse("0*t", "t"))

@@ -383,22 +383,25 @@ def test_modal_map_matches_the_physical_map(n0, W):
     # on later windows with solved history.  Both compute the same sums in
     # other orders (sensor series, memory, forcing in modes), so they agree to
     # roundoff relative to each output's size (observed at most 4.7e-13, on
-    # y3 of the later windows, whose time derivative of G amplifies it)
+    # y3 of the later windows, whose time derivative of G amplifies it).
+    # Both signs of the velocity-projection term are pinned
     pd, setup, glob = _solved_twin()
     win = _window_data(pd, setup, n0, W, glob)
     history = (None, None)
     if n0 > 0:
         k = integrate_prefix(glob["kp"][: n0 + 1], setup.k0, pd.grid.dt)
         history = reference_solved_history(glob, k, n0, W, pd.grid.dt, pd.grid.dx)
-    state = apply_map_A(_initial_state(win, setup, pd, 0.3), win, setup, pd)
-    for _ in range(2):  # two successive iterates, with nonzero kernel rates
-        out = apply_map_A(state, win, setup, pd)
-        v_ref, kp_ref, y3_ref = reference_apply_map_A(
-            physical_field(state.vhat, win), state.kprime, win, setup, pd, history)
-        for got, ref in ((physical_field(out.vhat, win), v_ref),
-                         (out.kprime, kp_ref), (out.yccc, y3_ref)):
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        state = out
+    for vt_sign in (1.0, -1.0):
+        state = apply_map_A(_initial_state(win, setup, pd, 0.3), win, setup, pd, vt_sign)
+        for _ in range(2):  # two successive iterates, with nonzero kernel rates
+            out = apply_map_A(state, win, setup, pd, vt_sign)
+            v_ref, kp_ref, y3_ref = reference_apply_map_A(
+                physical_field(state.vhat, win), state.kprime, win, setup, pd, history,
+                vt_sign=vt_sign)
+            for got, ref in ((physical_field(out.vhat, win), v_ref),
+                             (out.kprime, kp_ref), (out.yccc, y3_ref)):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            state = out
 
 
 def _weakly_paired_problem():
@@ -607,6 +610,32 @@ def test_norm_track_recorded():
     assert max(tracks) <= 10.0 * min(tr for tr in tracks if tr > 0)
 
 
+def test_norm_track_matches_the_physical_norm(monkeypatch):
+    # after window 0 the track is the iteration metric of the accepted
+    # iterate; it must equal solution_norm of the window's rows of v plus the
+    # L2 norm of its k', the reference that window 0 still takes
+    import memkernel.inverse as inverse
+
+    pd = twin_problem(nx=100, nt=200)
+    f, _ = twin_measurement(pd, "0.4*cos(2*t)")
+    accepted = []  # the state of every solve_window that returned
+    real_solve = inverse.solve_window
+
+    def recording(*args, **kwargs):
+        state, record = real_solve(*args, **kwargs)
+        accepted.append(state)
+        return state, record
+
+    monkeypatch.setattr(inverse, "solve_window", recording)
+    rec = reconstruct(pd, f, InverseOptions(window_steps=50))
+    assert len(rec.windows) == len(accepted) == 4
+    for w, state in zip(rec.windows, accepted):
+        grid_w = pd.grid.time_window(w.steps)
+        ref = (solution_norm(rec.v[w.start : w.start + w.steps + 1], grid_w)
+               + l2_time_norm(state.kprime, grid_w.dt))
+        assert abs(w.norm_track - ref) <= 1e-13 * ref
+
+
 @pytest.mark.parametrize(
     "bad", [{"window_steps": 0}, {"window_steps": -3}, {"noise_sigma": -0.01},
             {"tol": np.inf}, {"noise_sigma": np.inf},
@@ -637,7 +666,7 @@ def test_inverse_options_reject_a_non_finite_start_and_a_non_unit_sign(bad):
 def test_window_operators_are_read_only(n0, W):
     pd, setup, glob = _solved_twin()
     win = _window_data(pd, setup, n0, W, glob)
-    cached = list(vars(win.modes).values())
+    cached = list(vars(win.modes).values()) + [win.fpsi, win.seam]
     if n0 > 0:
         cached += list(vars(win.hist).values()) + [win.seed_memory]
         assert set(vars(win.hist)) == {"k", "kp", "series", "series_tail", "vxx", "vxx_tail"}

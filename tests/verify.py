@@ -365,7 +365,7 @@ def reference_solve_direct(pd, kernel, forcing=None, flux_forcing=None):
     k = np.asarray(kernel.k, dtype=float)
     if k.shape[0] != nt + 1:
         raise ValueError("kernel is not sampled on the grid's time nodes")
-    _check_clamped(prof.u0)
+    _check_clamped(prof.u0, prof.u1)
 
     F = np.zeros((nt + 1, nx + 2)) if forcing is None else np.asarray(forcing, float)
     g1 = np.zeros(nt + 1) if flux_forcing is None else np.asarray(flux_forcing, float)
@@ -469,13 +469,13 @@ def reference_apply_map_A(v, kprime, win, setup, pd, history=(None, None),
     kp_new = setup.alpha * (
         win.f[4] + vt_sign * proj_vt - setup.k0 * proj_v - mem_proj
     )
-    k_new = integrate_prefix(kp_new, win.k_seam, dt)
+    k_new = integrate_prefix(kp_new, win.seam[0], dt)
 
     g_of_v = win.f[1] / setup.psi_ell + g_lin
     gp_of_v = win.f[2] / setup.psi_ell + time_derivative(g_lin, dt)
     mem_g = window_memory(conv, kp_old, g_of_v, "kp", "gfun", *hist)
     y3 = gp_of_v - kp_new * setup.ghat_u0 - setup.k0 * g_of_v - mem_g
-    y2 = integrate_prefix(y3, win.y2_seam, dt)
+    y2 = integrate_prefix(y3, win.seam[1], dt)
     z2 = pd.p * y3 + pd.q * y2
 
     mem_field = window_memory(conv_field, k_new, vxx, "k", "vxx", *hist)
