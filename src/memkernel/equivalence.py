@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .csvio import _fmt
-from .derivatives import derivative_stack, derivative_stack_from_expression
+from .derivatives import derivative_stack, derivative_stack_from_expression, fit_noise_gains
 from .direct import _initial_oscillator, initial_acceleration, profile_exprs, profiles
 from .errors import AlphaDegenerate, PsiDegenerate
 from .expressions import FuncExpr
@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 DEGENERACY_FLOOR = 1e-10
+# Standard deviations of the sample noise that a sampled f^(j)(0) may be off by
+NOISE_SIGMAS = 5.0
 
 # 5-point Gauss-Legendre nodes/weights on [-1, 1]: exact through degree 9,
 # so per-cell quadrature of a polynomial sensor is exact.
@@ -105,6 +107,8 @@ class EquivSetup:
     f_derivs: np.ndarray  # shape (5, nt+1): f and four time derivatives
     ghat_u0: float  # sensor functional of u0'' at t=0 (a constant)
     symbolic_f: bool
+    noise_sigma: float = 0.0  # absolute standard deviation of a sampled f's noise
+    fit_degree: int | None = None  # degree of a sampled f's fit; None if not fitted
 
 
 @lru_cache(maxsize=16)
@@ -117,13 +121,17 @@ def sensor_moment(pd):
 
 
 def _f_stack(pd, f, noise_sigma):
+    """f with four time derivatives, whether f is symbolic, and the fitted
+    degree (None for a symbolic f)."""
     t = pd.grid.t
     if isinstance(f, FuncExpr):
-        return derivative_stack_from_expression(f, t), True
+        return derivative_stack_from_expression(f, t), True, None
     f = np.asarray(f, dtype=float)
     if f.shape != t.shape:
         raise ValueError("measurement series is not sampled on the time nodes")
-    return derivative_stack(f, pd.grid.dt, noise_sigma=noise_sigma), False
+    stack, degree = derivative_stack(f, pd.grid.dt, noise_sigma=noise_sigma,
+                                     return_degree=True)
+    return stack, False, degree
 
 
 def build_setup(pd, f, *, noise_sigma=0.0):
@@ -136,7 +144,7 @@ def build_setup(pd, f, *, noise_sigma=0.0):
     reconstruction is canonical and alpha is set to 0.
     """
     prof, x, ell = profiles(pd), pd.grid.x, pd.ell
-    stack, symbolic = _f_stack(pd, f, noise_sigma)
+    stack, symbolic, degree = _f_stack(pd, f, noise_sigma)
     d = profile_exprs(pd)
 
     psi_row = sensor_moment(pd)
@@ -201,6 +209,8 @@ def build_setup(pd, f, *, noise_sigma=0.0):
         f_derivs=stack,
         ghat_u0=ghat_u0,
         symbolic_f=symbolic,
+        noise_sigma=float(noise_sigma),
+        fit_degree=degree,
     )
 
 
@@ -268,6 +278,14 @@ def check_compatibility(setup, pd):
     the Taylor start leaves (dt^2/6) u_ttt at the velocity level and each
     step adds (dt^2/12) u_tttt, so the j-th derivative of f at 0 moves by
     less than dt^2 |f^(j+2)(0)|, taken from the fitted stack.
+
+    A sampled f with noise of standard deviation sigma (``setup.noise_sigma``)
+    also carries that noise into each f^(j)(0) the checks read, and the
+    tolerance adds NOISE_SIGMAS times its standard deviation: sigma for
+    f(0), the raw sample, and for j = 1, 2 sigma times the 2-norm of the
+    linear map from the samples to the fitted f^(j)(0), at the degree the
+    fit chose (``derivatives.fit_noise_gains``).  Noise-free data adds
+    nothing.
     """
     prof = profiles(pd)
     x, dx, dt = pd.grid.x, pd.grid.dx, pd.grid.dt
@@ -277,6 +295,12 @@ def check_compatibility(setup, pd):
 
     def w_direct(s):
         return d["phip"].eval(s) - pd.beta * d["phippp"].eval(s)
+
+    noise = np.zeros(3)
+    if not setup.symbolic_f and setup.noise_sigma > 0:
+        gains = (0.0, 0.0) if setup.fit_degree is None else fit_noise_gains(
+            fd.shape[1], dt, setup.fit_degree, (1, 2))
+        noise = NOISE_SIGMAS * setup.noise_sigma * np.array((1.0, *gains))
 
     checks = []
     identities = (
@@ -291,6 +315,7 @@ def check_compatibility(setup, pd):
         if not setup.symbolic_f:
             tol += abs(quad_trapz(prof.w_direct * row, dx) + lhs)
             tol += dt**2 * abs(fd[j + 2][0])
+            tol += noise[j]
         checks.append(CompatCheck(name, lhs - ref, tol))
     ref = fd[3][0]
     lhs = -gl_integral(

@@ -20,35 +20,46 @@ n0-1 and n0; only the first window takes the Taylor start.  Its memory
 terms are rows n0..n0+W of the global trapezoid convolutions.
 Each series splits into its solved history (zero past the seam node n0)
 and the window's increment (zero at the seam).  What reads only the solved
-span is built once per window (``_solved_history``): the history x history
-tails and the convolution matrices of the heads of k, k' and the two sensor
-series.  A Picard step takes the two sensor series as one (W+1, 2) block,
-with one time derivative and one memory product of those matrices with the
-increments.  From those three it forms k' and y''' as the two columns of a
-second block, with the window's measurement columns f'/psi(ell) and
-f''/psi(ell); one prefix integral from the seam values of k and y'' gives
-[k, y''], and with z'' written into its second column, that block times
-fixed modal rows is the march forcing.  The field memory convolves the
-kernel's increment with the v_xx head through ``timeconv.conv_field``,
-which builds no whole convolution matrix.  The solved span keeps v, k',
-y''' and the two sensor series of v; k, y'' and v_xx are derived where
-they are read.  The map takes its sensor rates as time derivatives of
-those series, so it forms no time derivative of a field.
+span is built once per window attempt (``_solved_history``): the history x
+history tails and the convolution matrices of the heads of k, k' and the
+two sensor series.  A Picard step takes the two sensor series as one
+(W+1, 2) block and forms k' and y''' as the two columns of a second block.
+On the first window it takes the block's time derivative and its memory
+against the k' iterate, with the window's measurement columns f'/psi(ell)
+and f''/psi(ell).  On a later window the split leaves no increment x
+increment term, so the map is affine in its iterate with a linear part
+fixed for the attempt.  The window's rate operator holds the time
+derivative, k0 and the k' head's memory of the series' increment, and a
+constant block holds f'''', the measurement columns and the tails; the
+step is that operator times the series block plus the series heads times
+the k' increment, with no time derivative and no convolution of its own.
+One prefix integral from the seam values of k and y'' gives [k, y''], and
+with z'' written into its second column, that block times fixed modal rows
+is the march forcing.  The field memory convolves the kernel's increment
+with the v_xx head through ``timeconv.conv_field``, which builds no whole
+convolution matrix.  The solved span keeps v, k', y''' and the two sensor
+series of v; k, y'' and v_xx are derived where they are read.  The map
+takes its sensor rates as time derivatives of those series, so it forms
+no time derivative of a field.
 
 The iterate's field is held as sine coefficients of its rows, row 0 being
 the projected seam row.  In that basis the map does no transform: the
 sensor series are one product with two fixed modal vectors (the one-sided
 v_xx end values included), v_xx is -mu times the coefficients, the memory
 term convolves those, the forcing is assembled from projected profiles and
-the Dirichlet march is its three-level recurrence.  The iteration metric is
-``energy.modal_solution_norm``, a diagonal-plus-rank-6 form per row summed
-over slabs of rows; the difference of two iterates is formed one slab at a
-time.  Only the seam row, which may have nonzero ends, is read in physical
-space, once per window, and the physical field is formed once per accepted
-window.  Each accepted window records a norm track.  On window 0, whose
-seam row may have nonzero ends, it is ``solution_norm`` of the physical
-rows; on later windows, whose rows all vanish at both ends, it is the
-iteration metric of the accepted iterate, which equals that to roundoff.
+the Dirichlet march is its three-level recurrence.  The march reads its
+forcing scaled by its gain, and every piece comes scaled: the forcing rows,
+the v_xx modes of the iterate and of the seam row, and a later window's
+projected v_xx head and tail, so no call scales the forcing itself.  The
+iteration metric is ``energy.modal_solution_norm``, a diagonal-plus-rank-6
+form per row summed over slabs of rows; the difference of two iterates is
+formed one slab at a time.  Only the seam row, which may have nonzero
+ends, is read in physical space, once per window, and the physical field
+is formed once per accepted window.  Each accepted window records a norm
+track.  On window 0, whose seam row may have nonzero ends, it is
+``solution_norm`` of the physical rows; on later windows, whose rows all
+vanish at both ends, it is the iteration metric of the accepted iterate,
+which equals that to roundoff.
 
 Without a fixed ``window_steps`` the widths are chosen for cost.  On this
 Volterra system the Picard distances follow d_n = d_(n-1) c / n, with c
@@ -156,14 +167,23 @@ class WindowData:
     the measurement columns f'/psi(ell) and f''/psi(ell) that its sensor
     series and their rates take; both are read-only.  The seam row may have
     nonzero ends, so its two sensor series values ``row0`` and its v_xx
-    modes ``vxx0`` are taken on the physical row.  ``hist`` holds the
-    memory operators of the solved span, built once per window and
-    read-only: the convolution matrices ``k`` and ``kp`` of the kernel's and
-    the rate's head, the stacked matrix ``series`` of the two sensor series'
-    heads, the (W+1, 2) ``series_tail``, and the v_xx head and tail
-    ``vxx``, ``vxx_tail`` in sine coefficients (see ``_solved_history``).
-    ``seed_memory`` is that tail on the physical nodes: the solved span's
-    memory, which the Picard seed's march subtracts from its forcing.
+    modes ``vxx0`` (scaled by the march gain) are taken on the physical
+    row.  ``vt_sign`` is the sign of the velocity-projection term that the
+    map runs on this window.  ``hist`` holds the operators of the solved
+    span, built once per window attempt and read-only.  ``rate_op`` is the
+    rate operator (``_rate_operator``): for each sensor series the time
+    derivative (one-sided end rows included, times vt_sign for the phi'''
+    projection) less k0 and less the k' head's memory of the series'
+    increment, one (W+1)^2 matrix for both series at vt_sign +1 and one per
+    series at -1.  ``rate_const`` holds, one series per row, the rates'
+    terms that the iterate does not enter: f'''', the measurement columns
+    with their k0 and k' head memory, and the series' tails.  ``series`` is
+    the stacked matrix of the two sensor series' heads that takes the k'
+    increment, ``k`` the kernel head's that takes the v_xx increment, and
+    ``vxx``, ``vxx_tail`` are the v_xx head and tail in sine coefficients,
+    scaled by the march gain (see ``_solved_history``).  ``seed_memory`` is
+    that tail on the physical nodes, unscaled: the solved span's memory,
+    which the Picard seed's march subtracts from its forcing.
     """
 
     pd_w: object  # ProblemData restricted to the window's time span
@@ -178,6 +198,7 @@ class WindowData:
     seed: tuple
     row0: tuple  # (phi''' projection, linear part of G) of the seam row
     vxx0: np.ndarray
+    vt_sign: float  # sign of the velocity-projection term
     # the solved span (present when start > 0); see ``_solved_history``
     hist: SimpleNamespace | None = None
     seed_memory: np.ndarray | None = None
@@ -219,10 +240,13 @@ def _map_modes(pd):
     ``sensor @ w`` is its phi''' projection (a_proj = dx S phi''') and the part
     of G linear in it: a_g is dx (-mu) (S psi) plus the trapezoid's halved
     end weights psi(0), psi(ell) on the one-sided v_xx end stencils, over
-    psi(ell).  ``forcing`` (2, nx): ``[k, z''] @ forcing`` are the modes of
+    psi(ell).  ``gain`` and ``c`` are the Dirichlet march's, ``S`` that of
+    ``grids._sine_modes``.  The march reads its forcing scaled by the gain,
+    and the two vectors that build that forcing carry it: ``forcing``
+    (2, nx), whose ``[k, z''] @ forcing`` are the scaled modes of
     z'' x/ell - k u0'', its rows in the column order of ``apply_map_A``'s
-    block.  ``gain`` and ``c`` are the Dirichlet march's, ``S`` and
-    ``neg_mu`` (-mu) those of ``grids._sine_modes``.
+    block, and ``neg_mu_gain``, -mu times the gain, which takes a row's
+    coefficients to its scaled v_xx modes.
     """
     grid, prof, psi = pd.grid, profiles(pd), sensor_moment(pd)
     nx, dx = grid.nx, grid.dx
@@ -231,9 +255,9 @@ def _map_modes(pd):
     sd0, sdl = _end_stencil_modes(nx, dx)[2:]
     a_g = dx * (-mu) * (S @ psi[1:-1]) + 0.5 * dx * (psi[0] * sd0 + psi[-1] * sdl)
     sensor = np.stack([dx * (S @ prof.phippp[1:-1]), a_g / psi[-1]])
-    forcing = _project(np.stack([-prof.u0pp, grid.x / pd.ell]), S)
-    return _read_only(SimpleNamespace(S=S, neg_mu=-mu, gain=gain, c=c, sensor=sensor,
-                                      forcing=forcing))
+    forcing = gain * _project(np.stack([-prof.u0pp, grid.x / pd.ell]), S)
+    return _read_only(SimpleNamespace(S=S, neg_mu_gain=-mu * gain, gain=gain, c=c,
+                                      sensor=sensor, forcing=forcing))
 
 
 def _read_only(arrays):
@@ -264,30 +288,20 @@ def state_distance(s1, s2, grid_w):
     return _state_norm(s1, grid_w, s2)
 
 
-def _series_memory(kp, series, hist, dt):
-    """Rows n0..n0+W of the global trapezoid convolutions of k' with the two
-    sensor series, a (W+1, 2) block; ``kp`` and ``series`` are the window's
-    iterates.  The first window (``hist`` None) convolves them directly;
-    later ones apply ``_solved_history``'s operators to the increments, the
-    iterates past the seam row."""
-    if hist is None:
-        return np.column_stack([conv(kp, s, dt) for s in series.T])
-    out = hist.kp[:, 1:] @ series[1:]
-    out += (hist.series[:, 1:] @ kp[1:]).reshape(-1, 2)
-    out += hist.series_tail
-    return out
-
-
 def _field_memory(k, vxx, hist, dt):
-    """Rows n0..n0+W of the global trapezoid convolution of k with v_xx,
-    split as in ``_series_memory``; on a later window the kernel's
-    increment meets the v_xx head in the call's one ``conv_field``."""
+    """Rows n0..n0+W of the global trapezoid convolution of k with v_xx;
+    ``k`` and ``vxx`` are the window's iterates.  The first window (``hist``
+    None) convolves them directly.  A later one splits each series into its
+    solved history and its increment, the iterate past the seam row (see
+    ``_solved_history``): the kernel's increment meets the v_xx head in the
+    call's one ``conv_field``, the k head's matrix takes the v_xx increment,
+    and the history x history tail is added."""
     if hist is None:
         return conv_field(k, vxx, dt)
     dk = k.copy()
     dk[0] = 0.0
     out = conv_field(dk, hist.vxx, dt)
-    out += hist.k[:, 1:] @ vxx[1:]
+    out += hist.k @ vxx[1:]
     out += hist.vxx_tail
     return out
 
@@ -301,31 +315,40 @@ def _sensor_series(vhat, win):
     return series
 
 
-def apply_map_A(state, win, setup, pd, vt_sign=1.0):
+def apply_map_A(state, win, setup, pd):
     """One application of the fixed-point map on a window, in sine modes.
 
     k' and y''' are the two columns of one (W+1, 2) block, made from the
-    sensor-series block, its rates and its memory.  One prefix integral from
-    the seam pair turns it into [k, y'']; its second column then becomes
-    z'' = p y''' + q y'', and the block times the forcing rows is the march
-    forcing."""
-    dt, W, modes = win.pd_w.grid.dt, win.steps, win.modes
+    sensor-series block: on the first window from its time derivative and
+    its memory, on a later one as the window's rate operator times the
+    block, plus its constant rows and the series heads times the k'
+    increment.  One prefix integral from the seam pair turns it into
+    [k, y'']; its second column then becomes z'' = p y''' + q y'', and the
+    block times the forcing rows is the march forcing."""
+    dt, W, modes, hist = win.pd_w.grid.dt, win.steps, win.modes, win.hist
 
     vhat = state.vhat
-    # the phi''' projection and G of v as one block, with its rates and memory
+    # the phi''' projection and G of v as one block
     series = _sensor_series(vhat, win)
-    rates = time_derivative(series, dt)
-    series[:, 1] += win.fpsi[:, 0]
-    rates[:, 1] += win.fpsi[:, 1]
-    mem = _series_memory(state.kprime, series, win.hist, dt)
-
-    # k' = alpha (f'''' + vt_sign proj_t - k0 proj - mem_proj) and
-    # y''' = G_t - ghat_u0 k' - k0 G - mem_G, in place of the rates
-    rates[:, 0] *= vt_sign
-    series *= setup.k0
-    rates -= series
-    rates -= mem
-    rates[:, 0] += win.f[4]
+    if hist is None:
+        # k'/alpha = f'''' + vt_sign proj_t - k0 proj - mem_proj and
+        # y''' + ghat_u0 k' = G_t - k0 G - mem_G, in place of the rates
+        rates = time_derivative(series, dt)
+        series[:, 1] += win.fpsi[:, 0]
+        rates[:, 1] += win.fpsi[:, 1]
+        mem = np.column_stack([conv(state.kprime, s, dt) for s in series.T])
+        rates[:, 0] *= win.vt_sign
+        series *= setup.k0
+        rates -= series
+        rates -= mem
+        rates[:, 0] += win.f[4]
+    else:
+        # the same sums, affine in the iterate: series j meets rate_op[j], or
+        # rate_op[0] for both series at vt_sign +1
+        rates = np.matmul(hist.rate_op, series.T[:, :, None]).reshape(2, W + 1)
+        rates += hist.rate_const
+        rates -= (hist.series @ state.kprime[1:]).reshape(2, W + 1)
+        rates = rates.T
     rates[:, 0] *= setup.alpha
     rates[:, 1] -= setup.ghat_u0 * rates[:, 0]
     kp_new, y3 = rates.T
@@ -334,16 +357,16 @@ def apply_map_A(state, win, setup, pd, vt_sign=1.0):
     k_z2[:, 1] *= pd.q
     k_z2[:, 1] += pd.p * y3
 
-    vxx = vhat * modes.neg_mu
+    vxx = vhat * modes.neg_mu_gain
     vxx[0] = win.vxx0
-    mem_field = _field_memory(k_z2[:, 0], vxx, win.hist, dt)
-    # the march reads the forcing of levels 0..W-1, scaled by its gain
+    mem_field = _field_memory(k_z2[:, 0], vxx, hist, dt)
+    # the march reads the forcing of levels 0..W-1, scaled by its gain as
+    # the forcing rows and the v_xx modes are
     vhat_new = np.empty_like(vhat)
     vhat_new[0] = win.seed[0]
     h = vhat_new[1:]
     np.matmul(k_z2[:W], modes.forcing, out=h)
     h -= mem_field[:W]
-    h *= modes.gain
     _march_modes(h, win.seed, modes.c)
 
     if not (np.isfinite(vhat_new).all() and np.isfinite(kp_new).all()):
@@ -431,8 +454,7 @@ def _cheapest_width(kappa, ladder, cap, max_iter):
     return min(widths, key=lambda w: (cost(w), w))
 
 
-def solve_window(win, setup, pd, tol=1e-10, max_iter=50, vt_sign=1.0,
-                 initial_kprime=0.0, ladder=()):
+def solve_window(win, setup, pd, tol=1e-10, max_iter=50, initial_kprime=0.0, ladder=()):
     """Iterate the map to its fixed point on one window.
 
     With scale = 1 + first-step distance, the window is accepted when the
@@ -457,7 +479,7 @@ def solve_window(win, setup, pd, tol=1e-10, max_iter=50, vt_sign=1.0,
     state = _initial_state(win, setup, pd, initial_kprime)
     distances = []
     for it in range(1, max_iter + 1):
-        new = apply_map_A(state, win, setup, pd, vt_sign)
+        new = apply_map_A(state, win, setup, pd)
         d = state_distance(new, state, grid_w)
         d_prev = distances[-1] if distances else np.inf
         distances.append(d)
@@ -488,39 +510,60 @@ def _solved_history(glob, k, n0, W, dt, dx):
     at the seam): history x history is the tail, and each increment meets
     the other series' head (nodes 0..W); increment x increment vanishes on
     these rows as W <= n0.  The convolution is symmetric, so a head acts on
-    an increment as its convolution matrix.  Returns, as a namespace:
-    ``k`` and ``kp``, the matrices of the heads of k and k'; ``series``,
-    those of the heads of ``proj`` and ``gfun`` stacked so that
-    ``(series @ dkp).reshape(W + 1, 2)`` is their block; ``series_tail``,
-    the (W+1, 2) tails of both against k'; ``vxx`` and ``vxx_tail``, the
-    head of v's ``second_diff`` and the tail of k * v_xx.  Time convolution
-    and spatial stencil act on different axes, so that tail is the
-    ``second_diff`` of k * v's.  Every tail is one product with a lag
-    block: rows n0..n0+W, columns 0..n0 of the convolution matrix of a
-    history, zero past n0 (``timeconv.lag_block``), the block of k' taking
-    both sensor series' histories at once.
+    an increment's nodes 1..W as columns 1..W of its convolution matrix.
+    Returns, as a namespace: ``k`` and ``kp``, those columns for the heads
+    of k and k'; ``series``, those of the heads of ``proj`` and ``gfun``
+    stacked so that ``(series @ dkp).reshape(2, W + 1)`` holds one series
+    per row; ``series_tail``, the (W+1, 2) tails of both against k'; ``vxx``
+    and ``vxx_tail``, the head of v's ``second_diff`` and the tail of
+    k * v_xx.  Time convolution and spatial stencil act on different axes,
+    so that tail is the ``second_diff`` of k * v's.  Every tail is one
+    product with a lag block: rows n0..n0+W, columns 0..n0 of the
+    convolution matrix of a history, zero past n0 (``timeconv.lag_block``),
+    the block of k' taking both sensor series' histories at once.
     """
     hist = slice(0, n0 + 1)
     rows = (n0, n0 + W + 1, n0 + 1)
     series_hist = np.column_stack((glob["proj"][hist], glob["gfun"][hist]))
     heads = [convolution_matrix(glob[name][: W + 1], dt) for name in ("proj", "gfun")]
     return SimpleNamespace(
-        k=convolution_matrix(k[: W + 1], dt),
-        kp=convolution_matrix(glob["kp"][: W + 1], dt),
-        series=np.stack(heads, axis=1).reshape(2 * (W + 1), W + 1),
+        k=convolution_matrix(k[: W + 1], dt)[:, 1:],
+        kp=convolution_matrix(glob["kp"][: W + 1], dt)[:, 1:],
+        series=np.concatenate(heads)[:, 1:],
         series_tail=lag_block(glob["kp"][hist], dt, *rows) @ series_hist,
         vxx=second_diff(glob["v"][: W + 1], dx),
         vxx_tail=second_diff(lag_block(k[hist], dt, *rows) @ glob["v"][hist], dx),
     )
 
 
-def _window_data(pd, setup, n0, W, glob=None):
+def _rate_operator(kp, k0, dt, vt_sign):
+    """A later window's rate operator, from ``kp``, the k' head's columns
+    of ``_solved_history``: for a sensor series, the matrix that takes its
+    window values to its time derivative (one-sided end rows included;
+    times vt_sign for the phi''' projection), less k0 times the values and
+    less the k' head's memory of their increment.  The leading axis holds
+    one matrix per series, or at vt_sign +1 the one that serves both."""
+    n = kp.shape[0]
+    signs = (1.0,) if vt_sign > 0 else (vt_sign, 1.0)
+    op = np.empty((len(signs), n, n))
+    eye = np.eye(n)
+    for m, sign in zip(op, signs):
+        time_derivative(eye, dt, out=m)
+        m *= sign
+        m[:, 1:] -= kp
+        m.flat[:: n + 1] -= k0
+    return op
+
+
+def _window_data(pd, setup, n0, W, glob=None, vt_sign=1.0):
     """Inputs of the window of W steps at node n0, reading its seams and the
     solved history from the solved span ``glob`` (unused when n0 == 0); the
     seam values of k and y'' integrate its k' and y''' over nodes 0..n0.
-    The solved span's memory operators are built here, once and read-only,
-    with the v_xx head and tail projected; the physical tail is kept apart
-    for the Picard seed."""
+    ``vt_sign`` is the sign of the velocity-projection term that the map
+    runs on this window.  The solved span's memory operators are built
+    here, once and read-only: the rate operator for that sign with its
+    constant rows, and the v_xx head and tail projected and scaled by the
+    march gain; the physical tail is kept apart for the Picard seed."""
     grid = pd.grid
     dt, dx = grid.dt, grid.dx
     pd_w = replace(pd, T=W * dt, grid=grid.time_window(W))
@@ -534,9 +577,17 @@ def _window_data(pd, setup, n0, W, glob=None):
         k = integrate_prefix(glob["kp"][hist], setup.k0, dt)
         y2 = integrate_prefix(glob["y3"][hist], setup.y2prime0, dt)
         ops = _solved_history(glob, k, n0, W, dt, dx)
-        modal = dict(vars(ops), vxx=_project(ops.vxx, modes.S),
-                     vxx_tail=_project(ops.vxx_tail, modes.S))
-        span = dict(hist=_read_only(SimpleNamespace(**modal)), seed_memory=ops.vxx_tail)
+        # the rates' terms that the iterate does not enter: f'''', the
+        # measurement columns with their k0 and k' head memory, and the tails
+        const = np.stack([fslice[4],
+                          fpsi[:, 1] - setup.k0 * fpsi[:, 0] - ops.kp @ fpsi[1:, 0]])
+        const -= ops.series_tail.T
+        span = dict(hist=_read_only(SimpleNamespace(
+            k=ops.k, series=ops.series,
+            rate_op=_rate_operator(ops.kp, setup.k0, dt, vt_sign), rate_const=const,
+            vxx=modes.gain * _project(ops.vxx, modes.S),
+            vxx_tail=modes.gain * _project(ops.vxx_tail, modes.S),
+        )), seed_memory=ops.vxx_tail)
         ops.vxx_tail.flags.writeable = False
         v = glob["v"]
         seam, u_tau, u_before = (k[n0], y2[n0]), v[n0], v[n0 - 1]
@@ -550,7 +601,7 @@ def _window_data(pd, setup, n0, W, glob=None):
         pd_w=pd_w, start=n0, steps=W, seam=seam,
         u_tau=u_tau, u_before=u_before, f=fslice, fpsi=fpsi, modes=modes,
         seed=_dirichlet_seed(pd_w, u_tau, setup.v1row, u_before), row0=row0,
-        vxx0=_project(vxx0, modes.S), **span,
+        vxx0=modes.gain * _project(vxx0, modes.S), vt_sign=vt_sign, **span,
     )
 
 
@@ -591,12 +642,11 @@ def reconstruct(pd, f, options=InverseOptions()):
             W -= 1  # a one-step tail has no time grid; leave two steps
         retries = []
         while True:
-            win = _window_data(pd, setup, n0, W, glob)
+            win = _window_data(pd, setup, n0, W, glob, options.vt_sign)
             try:
                 state, record = solve_window(
                     win, setup, pd, tol=options.tol, max_iter=options.max_iter,
-                    vt_sign=options.vt_sign, initial_kprime=options.initial_kprime,
-                    ladder=ladder,
+                    initial_kprime=options.initial_kprime, ladder=ladder,
                 )
                 break
             except _Narrow as exc:

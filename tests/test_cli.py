@@ -250,6 +250,35 @@ def test_invert_inconsistent_measurement_exits_compat(tmp_path):
     assert code == EXIT_COMPAT
 
 
+def test_noisy_twin_passes_its_own_gate(tmp_path):
+    # TWIN_CONFIG's measurement carries noise (sigma = 0.001); the gate
+    # allows each f^(j)(0) it reads that noise's effect, so no --force
+    cfgp = write_config(tmp_path)
+    assert main(["invert", "--twin", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_noisy_readme_twin_passes_its_own_gate(tmp_path):
+    text = _readme_block()
+    for old, new in (("nx = 200", "nx = 60"), ("nt = 400", "nt = 120"),
+                     ("\nsigma = 0.0 ", "\nsigma = 0.001 ")):
+        assert old in text
+        text = text.replace(old, new)
+    cfgp = write_config(tmp_path, text, "noisy.ini")
+    assert main(["invert", "--twin", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_noisy_twin_with_an_offset_measurement_exits_compat(tmp_path, monkeypatch):
+    # an offset of 0.1 max|f| is far beyond the noise the gate allows for
+    import memkernel.cli as cli
+
+    noisy = cli._noisy_measurement
+    monkeypatch.setattr(cli, "_noisy_measurement",
+                        lambda cfg, f: noisy(cfg, f) + 0.1 * np.max(np.abs(f)))
+    cfgp = write_config(tmp_path)
+    code = main(["invert", "--twin", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    assert code == EXIT_COMPAT
+
+
 def test_check_command(tmp_path, capsys):
     cfgp = write_config(tmp_path)
     out = tmp_path / "check"

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 
 from conftest import make_problem
-from memkernel.derivatives import derivative_stack, derivative_stack_from_expression
+from memkernel.derivatives import (derivative_stack, derivative_stack_from_expression,
+                                   fit_noise_gains)
 from memkernel.direct import solve_direct
 from memkernel.expressions import parse
 from memkernel.timeconv import Kernel
@@ -126,3 +127,20 @@ def test_short_series_fit_no_degree_above_the_interpolant(monkeypatch, n):
     assert max(degrees) == n - 1
     assert n >= 5 or degrees == [n - 1]
     assert np.all(np.isfinite(stack))
+
+
+@pytest.mark.parametrize("n, noise", [(5, 0.0), (121, 1e-3), (401, 1e-5)])
+def test_noise_gains_are_the_norms_of_the_fit_maps(n, noise):
+    # the fit is linear in the samples: its j-th derivative at t = 0 is a
+    # row vector on them, built here one unit sample at a time, at the
+    # degree that derivative_stack chose for a noisy cosine
+    dt = 2.0 / (n - 1)
+    t = np.arange(n) * dt
+    f = np.cos(2.0 * t) + noise * np.random.default_rng(n).standard_normal(n)
+    stack, degree = derivative_stack(f, dt, noise_sigma=noise, return_degree=True)
+    assert stack.tobytes() == derivative_stack(f, dt, noise_sigma=noise).tobytes()
+    assert 4 <= degree <= n - 1
+    rows = [[chebyshev.Chebyshev.fit(t, e, degree).deriv(j)(0.0) for e in np.eye(n)]
+            for j in (1, 2)]
+    gains = fit_noise_gains(n, dt, degree, (1, 2))
+    assert np.allclose(gains, np.linalg.norm(rows, axis=1), rtol=1e-8, atol=0)

@@ -23,7 +23,6 @@ from memkernel.inverse import (
     _field_memory,
     _initial_state,
     _project,
-    _series_memory,
     _solved_history,
     _window_data,
 )
@@ -72,7 +71,11 @@ def test_window_memory_is_a_slice_of_the_global_convolution(W, extra, width, see
     # random series and fields on the whole span; the window at n0 >= W
     # sees nodes 0..n0 as solved history and its own nodes n0..n0+W as
     # iterates, and its memory operators must reproduce rows n0..n0+W of the
-    # global conv and of conv_field(k, second_diff(v)).  The split sums
+    # global conv and of conv_field(k, second_diff(v)).  The k'-series
+    # memory is composed from the pieces that the window's rate operator,
+    # its constant rows and its series heads are built from: the k' head on
+    # the series increments, the series heads on the k' increment, and the
+    # tails.  The split sums
     # round differently from the global ones, so the bound is relative to
     # |M| @ |g|, M the convolution matrix.
     rng = np.random.default_rng(seed)
@@ -86,7 +89,9 @@ def test_window_memory_is_a_slice_of_the_global_convolution(W, extra, width, see
     series = dict(glob, k=k, vxx=second_diff(glob["v"], dx))
     rows = slice(n0, n)
     block = np.column_stack((glob["proj"], glob["gfun"]))[rows]
-    mem_proj, mem_g = _series_memory(glob["kp"][rows], block, hist, dt).T
+    kp_inc = glob["kp"][rows][1:]
+    mem_proj, mem_g = (hist.kp @ block[1:] + (hist.series @ kp_inc).reshape(2, W + 1).T
+                       + hist.series_tail).T
     mem_field = _field_memory(k[rows], series["vxx"][rows], hist, dt)
     for mem, conv_fn, a, b in ((mem_proj, conv, "kp", "proj"), (mem_g, conv, "kp", "gfun"),
                                (mem_field, conv_field, "k", "vxx")):
@@ -376,25 +381,29 @@ def _solved_twin():
     return pd, setup, glob
 
 
-@pytest.mark.parametrize("n0, W", [(0, 40), (0, 120), (40, 40), (80, 30)])
+@pytest.mark.parametrize("n0, W", [(0, 40), (0, 120), (40, 40), (80, 30), (60, 25),
+                                   (70, 30), (90, 30)])
 def test_modal_map_matches_the_physical_map(n0, W):
     # the modal map against the physical one on a physical iterate: the
     # kernel rate, y3 and the back-transformed field, on the first window and
-    # on later windows with solved history.  Both compute the same sums in
-    # other orders (sensor series, memory, forcing in modes), so they agree to
-    # roundoff relative to each output's size (observed at most 4.7e-13, on
-    # y3 of the later windows, whose time derivative of G amplifies it).
-    # Both signs of the velocity-projection term are pinned
+    # on later windows with solved history, W = n0 and W < n0, W dividing n0
+    # or not.  Both compute the same sums in other orders (sensor series,
+    # memory, forcing in modes; a later window's rate operator), so they
+    # agree to roundoff relative to each output's size (observed at most
+    # 8.0e-13, on y3 of the later windows, whose time derivative of G
+    # amplifies the rounding of the physical iterate's sensor series).  Both
+    # signs of the velocity-projection term are pinned, each on a window
+    # built for it
     pd, setup, glob = _solved_twin()
-    win = _window_data(pd, setup, n0, W, glob)
     history = (None, None)
     if n0 > 0:
         k = integrate_prefix(glob["kp"][: n0 + 1], setup.k0, pd.grid.dt)
         history = reference_solved_history(glob, k, n0, W, pd.grid.dt, pd.grid.dx)
     for vt_sign in (1.0, -1.0):
-        state = apply_map_A(_initial_state(win, setup, pd, 0.3), win, setup, pd, vt_sign)
+        win = _window_data(pd, setup, n0, W, glob, vt_sign)
+        state = apply_map_A(_initial_state(win, setup, pd, 0.3), win, setup, pd)
         for _ in range(2):  # two successive iterates, with nonzero kernel rates
-            out = apply_map_A(state, win, setup, pd, vt_sign)
+            out = apply_map_A(state, win, setup, pd)
             v_ref, kp_ref, y3_ref = reference_apply_map_A(
                 physical_field(state.vhat, win), state.kprime, win, setup, pd, history,
                 vt_sign=vt_sign)
@@ -402,6 +411,30 @@ def test_modal_map_matches_the_physical_map(n0, W):
                              (out.kprime, kp_ref), (out.yccc, y3_ref)):
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
             state = out
+
+
+@pytest.mark.parametrize("n0, W", [(0, 40), (60, 25)])
+def test_later_window_map_takes_no_time_derivative_and_no_conv(monkeypatch, n0, W):
+    # a later window's map is affine in its iterate, and its rate operator
+    # holds the time derivative and the k' memory of the sensor series;
+    # window 0's series memory is bilinear, so it keeps both calls
+    import memkernel.inverse as inverse
+
+    pd, setup, glob = _solved_twin()
+    win = _window_data(pd, setup, n0, W, glob)
+    state = _initial_state(win, setup, pd, 0.3)
+    calls = dict.fromkeys(("time_derivative", "conv"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(inverse, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(inverse, name, counting)
+    apply_map_A(state, win, setup, pd)
+    if n0 == 0:
+        assert calls["time_derivative"] >= 1 and calls["conv"] >= 1
+    else:
+        assert calls == {"time_derivative": 0, "conv": 0}
 
 
 def _weakly_paired_problem():
@@ -451,9 +484,9 @@ def test_first_adaptive_attempt_is_bounded(monkeypatch, nx, nt):
     attempts = []
     real_window_data = inverse._window_data
 
-    def recording_window_data(pd, setup, n0, W, glob=None):
+    def recording_window_data(pd, setup, n0, W, *args):
         attempts.append((n0, W))
-        return real_window_data(pd, setup, n0, W, glob)
+        return real_window_data(pd, setup, n0, W, *args)
 
     monkeypatch.setattr(inverse, "_window_data", recording_window_data)
     rec = reconstruct(pd, f)
@@ -665,11 +698,15 @@ def test_inverse_options_reject_a_non_finite_start_and_a_non_unit_sign(bad):
 @pytest.mark.parametrize("n0, W", [(0, 40), (40, 40), (80, 30)])
 def test_window_operators_are_read_only(n0, W):
     pd, setup, glob = _solved_twin()
-    win = _window_data(pd, setup, n0, W, glob)
-    cached = list(vars(win.modes).values()) + [win.fpsi, win.seam]
-    if n0 > 0:
-        cached += list(vars(win.hist).values()) + [win.seed_memory]
-        assert set(vars(win.hist)) == {"k", "kp", "series", "series_tail", "vxx", "vxx_tail"}
-    for arr in cached:
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
+    for vt_sign in (1.0, -1.0):
+        win = _window_data(pd, setup, n0, W, glob, vt_sign)
+        cached = list(vars(win.modes).values()) + [win.fpsi, win.seam]
+        if n0 > 0:
+            cached += list(vars(win.hist).values()) + [win.seed_memory]
+            assert set(vars(win.hist)) == {"k", "rate_op", "rate_const", "series",
+                                           "vxx", "vxx_tail"}
+            # one operator for both series at +1, one per series at -1
+            assert win.hist.rate_op.shape == (1 if vt_sign > 0 else 2, W + 1, W + 1)
+        for arr in cached:
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
